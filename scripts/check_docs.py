@@ -103,7 +103,7 @@ def check_traced_op_table() -> list:
     from repro.nn.graph import _FWD_FACTORY
     md = ROOT / "docs" / "ARCHITECTURE.md"
     text = md.read_text()
-    start = text.find("### Traced ops")
+    start = text.find("## Traced ops")
     if start < 0:
         return ["docs/ARCHITECTURE.md: missing 'Traced ops' section"]
     end = text.find("\n## ", start)

@@ -9,10 +9,8 @@ from .base import (Attack, AttackTrace, DEFAULT_ALPHA, DEFAULT_EPS,
                    DEFAULT_STEPS, compile_model, input_gradient,
                    linf_distance, project_linf, softmax_np, softmax_vjp)
 from .cw import CWLinf, cw_margin_loss
-from .engine import (PairedExecutor, generate_grid, run_scheduled,
-                     run_scheduled_steps)
+from .engine import PairedExecutor, generate_grid, run_scheduled
 from .diva import DIVA, TargetedDIVA, diva_loss
-from .loop import CompiledAttackLoop, LoopSpec, compile_attack_loop
 from .fgsm import fgsm, r_fgsm
 from .nes import NESDiva
 from .pgd import MomentumPGD, PGD
@@ -25,8 +23,7 @@ __all__ = [
     "DEFAULT_EPS", "DEFAULT_ALPHA", "DEFAULT_STEPS",
     "fgsm", "r_fgsm", "PGD", "MomentumPGD", "CWLinf", "cw_margin_loss",
     "DIVA", "TargetedDIVA", "diva_loss", "NESDiva",
-    "PairedExecutor", "generate_grid", "run_scheduled", "run_scheduled_steps",
-    "CompiledAttackLoop", "LoopSpec", "compile_attack_loop",
+    "PairedExecutor", "generate_grid", "run_scheduled",
     "SurrogateBundle", "build_surrogate_original", "semi_blackbox_diva",
     "blackbox_diva",
 ]

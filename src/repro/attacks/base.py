@@ -19,13 +19,9 @@ refilled with pending samples from later batches (cross-batch work
 stealing), so the gradient batch stays full until the global tail.
 ``Attack.generate_sweep`` tiles the batch across an (eps, c, ...)
 variant grid and feeds the same scheduler, sharing one compiled program
-pair and per-variant keep-best state across the whole grid.  Attacks
-that declare a loop spec (:meth:`Attack._loop_spec`) additionally ride
-the recorded whole-loop path (:mod:`repro.attacks.loop`): every step of
-the scheduled loop replays inside one masked program, bit-validated
-against the step-at-a-time engine at plan-build time.  All scheduling
-is value-neutral: per-sample trajectories are bit-identical to the
-classic one-batch-at-a-time loop.
+pair and per-variant keep-best state across the whole grid.  All
+scheduling is value-neutral: per-sample trajectories are bit-identical
+to the classic one-batch-at-a-time loop.
 
 Subclasses compile their frozen models into replayable programs
 (:mod:`repro.nn.graph`) — DIVA-family attacks fuse the (original,
@@ -161,13 +157,6 @@ class Attack:
     #: variants may override per item (e.g. DIVA's ``c``)
     sweep_params: frozenset = frozenset()
 
-    #: gradient passes the recorded whole-loop replays between deadline
-    #: polls (:mod:`repro.attacks.loop`).  The default of 1 matches the
-    #: step-at-a-time engine's poll cadence exactly (chaos parity);
-    #: larger chunks trade poll granularity for a little dispatch
-    #: overhead on deadline-bounded jobs.
-    loop_chunk = 1
-
     def __init__(self, eps: float = DEFAULT_EPS, alpha: float = DEFAULT_ALPHA,
                  steps: int = DEFAULT_STEPS, random_start: bool = False,
                  keep_best: bool = True, seed: int = 0):
@@ -182,10 +171,6 @@ class Attack:
         #: set False to force the eager-tape path (e.g. for counting
         #: model calls, or when model weights mutate mid-generate).
         self.use_compiled = True
-        #: set False to force step-at-a-time scheduling even when a
-        #: recorded whole-loop plan exists (bench arms, bisection);
-        #: results are bit-identical either way.
-        self.use_loop = True
         #: compiled-program store; private by default, rebound to a
         #: shared budgeted cache when the attack is served through a
         #: :class:`repro.serve.ServeSession`
@@ -226,21 +211,6 @@ class Attack:
         None when the attack defines no early-success criterion."""
         return None
 
-    def _loop_spec(self, x: np.ndarray):
-        """Recipe for whole-loop recording, or None (engine path).
-
-        Subclasses whose gradient is a pure function of the compiled
-        programs' logits return a :class:`repro.attacks.loop.LoopSpec`
-        (the programs plus seed/aux adapters); the base class — and any
-        subclass with stateful gradients, overridden step rules or
-        untraceable models — returns None, keeping the step-at-a-time
-        engine.  Implementations must refuse (return None) whenever
-        ``gradient_with_logits`` or ``_step`` is overridden relative to
-        the class that defines the spec, so a custom subclass can never
-        be silently driven by the wrong recipe.
-        """
-        return None
-
     def serve_signature(self) -> Optional[Tuple]:
         """Coalescing identity for the serving layer, or None.
 
@@ -258,15 +228,6 @@ class Attack:
     # ------------------------------------------------------------------ #
     # compiled-executor plumbing
     # ------------------------------------------------------------------ #
-    @property
-    def _exec_cache(self) -> Dict[Any, Tuple[Any, Any]]:
-        """Introspection view of :attr:`plan_cache`, ``{key: (owner,
-        plan)}`` with single owners unwrapped — the shape the historic
-        per-attack dict had (kept for tests and debugging)."""
-        return {key: (e.owners[0] if len(e.owners) == 1 else e.owners,
-                      e.plan)
-                for key, e in self.plan_cache.items(scope=self)}
-
     def _compiled(self, model, x: np.ndarray):
         """Cached compiled executor for ``model`` (None = eager fallback).
 
@@ -414,10 +375,10 @@ class Attack:
         because a success there cannot change the returned bytes — the
         row would retire holding exactly that iterate.  This keeps the
         done-mask semantics (and the pass count: exactly ``steps`` per
-        row) identical to :func:`~repro.attacks.engine.
-        run_scheduled_steps`; historically this loop paid one trailing
-        success forward, which made single-step keep-best runs
-        (FGSM-as-PGD(steps=1)) cost two passes here and one there.  The
+        row) identical to :func:`~repro.attacks.engine.run_scheduled`;
+        historically this loop paid one trailing success forward, which
+        made single-step keep-best runs (FGSM-as-PGD(steps=1)) cost two
+        passes here and one there.  The
         sequence of checked iterates — and every produced sample — is
         identical to checking right after each step.
 
@@ -484,10 +445,13 @@ class Attack:
         Ascends the subclass objective with sign steps, projecting back
         into the eps-ball each iteration (Eq. 3 of the paper).  Attacks
         without full-batch gradient state run on the active-slot
-        scheduler (:mod:`repro.attacks.engine`): ``batch_size`` is the
-        slot capacity, and slots freed by successful samples are
-        refilled from later batches.  Iterates are bit-identical to the
-        per-batch loop either way.
+        scheduler (:func:`~repro.attacks.engine.run_scheduled`, the one
+        attack execution path): ``batch_size`` is the slot capacity,
+        each pass is one :meth:`gradient_with_logits` batch (compiled
+        replay when the models trace, the eager tape otherwise), and
+        slots freed by successful samples are refilled from later
+        batches.  Iterates are bit-identical to the per-batch loop
+        either way.
 
         ``deadline`` (a :class:`~repro.serve.resilience.DeadlineToken`
         with one entry per row of ``x``) retires expiring rows between

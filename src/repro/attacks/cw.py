@@ -74,24 +74,6 @@ class CWLinf(Attack):
         return (type(self).__qualname__, id(self.model), self.steps,
                 self.kappa)
 
-    def _loop_spec(self, x: np.ndarray):
-        """Whole-loop recipe: one compiled program, margin-loss seeds
-        (``kappa`` read at seed time, like the per-step path).  Refused
-        when the gradient or step rule is overridden or the model does
-        not compile."""
-        from .base import Attack
-        from .loop import LoopSpec
-        if (type(self).gradient_with_logits is not CWLinf.gradient_with_logits
-                or type(self)._step is not Attack._step):
-            return None
-        ex = self._compiled(self.model, x)
-        if ex is None:
-            return None
-        return LoopSpec(
-            programs=[ex],
-            seeds=lambda outs, y, variant: [_cw_seed(outs[0], y, self.kappa)],
-            aux_of=lambda outs: outs[0])
-
     def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.gradient_with_logits(x_adv, y)[0]
 

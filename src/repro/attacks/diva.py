@@ -39,9 +39,14 @@ from .base import (Attack, DEFAULT_ALPHA, DEFAULT_EPS, DEFAULT_STEPS,
 
 def diva_loss(orig_probs: Tensor, adapted_probs: Tensor, y: np.ndarray,
               c=1.0) -> Tensor:
-    """Summed Eq. 5 over a batch (``c`` scalar or per-row vector)."""
+    """Summed Eq. 5 over a batch (``c`` scalar or per-row vector).
+
+    ``c`` multiplies from the right so a per-row numpy vector goes
+    through ``Tensor.__mul__``; ``ndarray * Tensor`` would broadcast
+    numpy-side into an object array of tensors.
+    """
     y = np.asarray(y)
-    return (orig_probs.gather_rows(y) - c * adapted_probs.gather_rows(y)).sum()
+    return (orig_probs.gather_rows(y) - adapted_probs.gather_rows(y) * c).sum()
 
 
 def _prob_seed(logits: np.ndarray, y: np.ndarray, coeff: float) -> np.ndarray:
@@ -86,32 +91,6 @@ class DIVA(Attack):
     def _paired(self, x: np.ndarray):
         """Cached paired executor over (original, adapted), or None."""
         return self._paired_executor((self.original, self.adapted), x)
-
-    def _loop_spec(self, x: np.ndarray):
-        """Whole-loop recipe: the paired programs, stacked-softmax seeds.
-
-        ``c`` comes from the per-row variant vector when sweeping, the
-        attack scalar otherwise — the same resolution order as
-        :meth:`gradient_with_logits`.  Seeding goes through
-        :meth:`_paired_seeds`, so :class:`TargetedDIVA`'s seed-vector
-        override flows through unchanged; refused when the gradient or
-        step rule is overridden or either model fails to compile.
-        """
-        from .base import Attack
-        from .loop import LoopSpec
-        if (type(self).gradient_with_logits is not DIVA.gradient_with_logits
-                or type(self)._step is not Attack._step):
-            return None
-        pe = self._paired(x)
-        if pe is None:
-            return None
-
-        def seeds(outs, y, variant):
-            c = variant["c"] if variant and "c" in variant else self.c
-            return list(self._paired_seeds(outs, y, c))
-
-        return LoopSpec(programs=list(pe.programs), seeds=seeds,
-                        aux_of=tuple)
 
     def _seed_vectors(self, p: np.ndarray, n: int, y: np.ndarray,
                       c) -> np.ndarray:

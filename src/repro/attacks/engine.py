@@ -12,22 +12,21 @@ time, one configuration at a time" into a single scheduled computation:
   DIVA's Eq. 5 step is thereby a single fused unit instead of two
   independent ``value_and_input_grad`` calls.
 
-- :func:`run_scheduled` / :func:`run_scheduled_steps` — the active-slot
-  scheduler behind ``Attack.generate`` / ``Attack.generate_sweep``.
-  Work items (sample, variant) occupy up to ``capacity`` slots; each
-  pass runs one gradient batch over the occupied slots, retires items
-  that satisfied their success criterion (checked against the logits
-  the gradient pass already produced — the shifted keep-best check),
-  and refills freed slots with pending items from later batches /
-  variants (cross-batch work stealing).  Because every per-sample
-  trajectory is independent, the produced iterates are bit-identical to
-  the per-batch sequential loop; the trailing success forward the
-  sequential loop paid is dropped entirely (it cannot change the
-  returned iterate when done samples stop stepping).
-  :func:`run_scheduled` additionally routes through the recorded
-  whole-loop plan (:mod:`repro.attacks.loop`) when the attack has one,
-  with :func:`run_scheduled_steps` — the step-at-a-time body — as both
-  the loop's compile-time validation reference and its loud fallback.
+- :func:`run_scheduled` — the active-slot scheduler behind
+  ``Attack.generate`` / ``Attack.generate_sweep``. Work items (sample,
+  variant) occupy up to ``capacity`` slots; each pass runs one gradient
+  batch over the occupied slots, retires items that satisfied their
+  success criterion (checked against the logits the gradient pass
+  already produced — the shifted keep-best check), and refills freed
+  slots with pending items from later batches / variants (cross-batch
+  work stealing). Because every per-sample trajectory is independent,
+  the produced iterates are bit-identical to the per-batch sequential
+  loop; the trailing success forward the sequential loop paid is dropped
+  entirely (it cannot change the returned iterate when done samples stop
+  stepping). It is the only attack execution path: every ``generate``,
+  ``generate_sweep`` and served attack dispatch runs through it, with
+  compiled replay (or the eager tape) inside
+  ``attack.gradient_with_logits``.
 
 - variant tiling — ``Attack.generate_sweep`` maps an (eps, c, ...) grid
   onto per-item parameter vectors so a whole figure's configuration
@@ -148,31 +147,6 @@ def run_scheduled(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
                   capacity: int,
                   snaps: Optional[np.ndarray] = None,
                   deadline=None) -> np.ndarray:
-    """Scheduled attack loop: the recorded whole-loop plan when the
-    attack has one (:mod:`repro.attacks.loop` — every step replayed
-    inside one masked program, bit-validated against the engine), the
-    step-at-a-time engine otherwise.  Snapshot requests always take the
-    engine (per-step iterates are the observable the loop's masking
-    elides), as does anything :func:`~repro.attacks.loop.try_run_loop`
-    declines — results are bit-identical either way, per the loop's
-    compile-time validation gate.
-    """
-    if snaps is None:
-        from .loop import try_run_loop
-        out = try_run_loop(attack, x, y, adv, eps, alpha, check, params,
-                           capacity, deadline=deadline)
-        if out is not None:
-            return out
-    return run_scheduled_steps(attack, x, y, adv, eps, alpha, check, params,
-                               capacity, snaps=snaps, deadline=deadline)
-
-
-def run_scheduled_steps(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
-                        eps: np.ndarray, alpha: np.ndarray, check: np.ndarray,
-                        params: Optional[Dict[str, np.ndarray]],
-                        capacity: int,
-                        snaps: Optional[np.ndarray] = None,
-                        deadline=None) -> np.ndarray:
     """Active-slot keep-best loop with cross-batch work stealing.
 
     ``adv`` holds the initialized iterates and is advanced in place;
@@ -192,10 +166,6 @@ def run_scheduled_steps(attack, x: np.ndarray, y: np.ndarray, adv: np.ndarray,
     passed retire immediately with their current best-so-far iterate and
     are recorded on the token.  Rows that already retired normally are
     never polled, so a completed row can never be marked expired.
-
-    This is both the universal fallback and the validation reference:
-    :func:`repro.attacks.loop.compile_attack_loop` must reproduce this
-    function's output bit-for-bit before a loop plan exists.
     """
     n_items = len(x)
     steps = attack.steps

@@ -3,10 +3,9 @@
 Included as the historical baselines the paper's background (§2.2) builds
 from; PGD (the paper's main baseline) is their iterated form — literally,
 here: both functions run as single-step PGD configurations on the
-scheduled engine, so they ride the compiled executor and the recorded
-whole-loop path (:mod:`repro.attacks.loop`) when the model traces, and
-fall back to the eager tape (bit-identical to the historic per-batch
-implementation) when it does not.  A single-step keep-best-off run pays
+scheduled engine, so they ride the compiled executor when the model
+traces, and fall back to the eager tape (bit-identical to the historic
+per-batch implementation) when it does not.  A single-step keep-best-off run pays
 exactly one gradient pass per row either way — the engine's done-mask
 semantics for rows succeeding on step 0 match ``generate``'s
 (no trailing success forward; see ``Attack._run_keep_best``).

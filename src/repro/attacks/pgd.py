@@ -48,26 +48,6 @@ class PGD(Attack):
         count (eps/alpha/keep_best are per-item in the scheduler)."""
         return (type(self).__qualname__, id(self.model), self.steps)
 
-    def _loop_spec(self, x: np.ndarray):
-        """Whole-loop recipe: one compiled program, CE-sum seeds.
-
-        Refused for subclasses that change the gradient (MomentumPGD's
-        velocity is loop-carried state the recorded loop does not model)
-        or the step rule, and when the model does not compile.
-        """
-        from .base import Attack
-        from .loop import LoopSpec
-        if (type(self).gradient_with_logits is not PGD.gradient_with_logits
-                or type(self)._step is not Attack._step):
-            return None
-        ex = self._compiled(self.model, x)
-        if ex is None:
-            return None
-        return LoopSpec(
-            programs=[ex],
-            seeds=lambda outs, y, variant: [_ce_sum_seed(outs[0], y)],
-            aux_of=lambda outs: outs[0])
-
     def gradient(self, x_adv: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.gradient_with_logits(x_adv, y)[0]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -260,14 +260,6 @@ class EdgeModel:
 
     def eval(self) -> "EdgeModel":
         return self
-
-    @property
-    def _programs(self) -> Dict[tuple, object]:
-        """Introspection view of this model's cached plans, keyed by
-        ``(shape, dtype.str)`` — the shape the historic per-model dict
-        had (kept for tests and debugging)."""
-        return {key[2:]: entry.plan
-                for key, entry in self.plan_cache.items(scope=self)}
 
     def _eager_forward(self, q: np.ndarray) -> np.ndarray:
         """The reference per-op loop (also the compiled path's oracle)."""

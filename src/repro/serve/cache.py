@@ -2,11 +2,11 @@
 program store.
 
 Before this module, every compiled-executor leg grew its own ad-hoc
-per-(model, shape, dtype) cache: ``Attack._exec_cache`` (a plain dict of
-``CompiledForward`` / ``PairedExecutor`` entries), ``EdgeModel._programs``
-(a never-evicting dict of :class:`~repro.edge.program.EdgeProgram`
-plans), and :func:`repro.training.evaluate.predict_logits` recompiling a
-fresh replay on every large evaluation.  A multi-tenant server cannot
+per-(model, shape, dtype) cache: each attack kept a plain dict of
+``CompiledForward`` / ``PairedExecutor`` entries, each edge model a
+never-evicting dict of :class:`~repro.edge.program.EdgeProgram` plans,
+and :func:`repro.training.evaluate.predict_logits` recompiled a fresh
+replay on every large evaluation.  A multi-tenant server cannot
 afford N independent unbounded caches: compiled plans pin preallocated
 activation and scratch buffers, so their footprint is real memory, and
 the set of (model, shape) pairs in flight is open-ended once many users
@@ -32,6 +32,11 @@ drive many model variants (the EI-MTD moving-target setting).
   after the cool-down and the next request re-runs the builder — a
   *transient* compile fault (an OOM spike, an injected chaos fault)
   heals instead of pinning eager forever.
+
+Every leg tags its entries with a ``scope`` (the attack or edge model
+that requested them), so ``plan_cache.items(scope=owner)`` lists one
+owner's plans even in a shared session store — the introspection query
+tests and debugging use.
 
 The cache is deliberately single-threaded (as is the whole scheduler —
 this container is single-CPU; see ROADMAP's multi-core note) and makes

@@ -662,10 +662,10 @@ class ServeClient:
       (exponential with seeded jitter, capped) and re-send the *same*
       frame — the server's idempotency window turns the retry into a
       replayed response, never a second execution;
-    - after ``max_retries`` spent attempts raise :class:`RetryError`
-      (the last transport error chained), and on an expired
-      per-request deadline raise
-      :class:`~repro.serve.resilience.DeadlineError`.
+    - after ``max_retries`` spent attempts raise :class:`RetryError`,
+      and when a bounded ``result(timeout=...)`` wait runs out raise
+      :class:`~repro.serve.resilience.DeadlineError` without spending
+      an attempt (the next wait resumes it).
 
     All waiting reads ``clock`` — pass the session's
     :class:`~repro.serve.resilience.ManualClock` plus a ``pump``
@@ -700,6 +700,8 @@ class ServeClient:
         self._parser = FrameParser()
         self._futures: Dict[str, JobFuture] = {}
         self._requests: Dict[str, bytes] = {}
+        #: key -> [spent attempts, current attempt deadline or None]
+        self._attempts: Dict[str, List] = {}
         self.retries = 0
         self.timeouts = 0
         self.reconnects = 0
@@ -822,47 +824,57 @@ class ServeClient:
         return base * (0.5 + 0.5 * float(self._rng.random()))
 
     def _await(self, key: str, timeout: Optional[float]) -> None:
+        """Wait for ``key``'s response, re-sending its frame each time
+        an attempt times out.
+
+        The attempt count and the current attempt's deadline belong to
+        the request, not to one wait: a bounded wait that ends before
+        the attempt does raises :class:`DeadlineError` at once (no
+        attempt counted, no backoff, no re-send), and the next wait
+        resumes the same attempt — so a lost frame is still re-sent
+        once ``attempt_timeout_s`` of waiting has passed, however the
+        caller slices it.
+        """
         future = self._futures[key]
         overall = (None if timeout is None
                    else self.clock.now() + float(timeout))
-        attempt = 0
-        last_exc: Optional[BaseException] = None
+        state = self._attempts.setdefault(key, [0, None])
+        slice_s = 0.05 if self.pump is None else 0.02
         while not future.done:
-            if overall is not None and self.clock.now() >= overall:
-                raise DeadlineError(
-                    f"no response for {key!r} within the {timeout}s wait")
-            attempt_deadline = self.clock.now() + self.attempt_timeout_s
+            if state[1] is None:
+                state[1] = self.clock.now() + self.attempt_timeout_s
+            attempt_deadline = state[1]
             while not future.done:
+                now = self.clock.now()
+                if overall is not None and now >= overall:
+                    raise DeadlineError(
+                        f"no response for {key!r} within the {timeout}s wait")
+                stop = (attempt_deadline if overall is None
+                        else min(attempt_deadline, overall))
                 if self.pump is not None:
                     self.pump()
                 processed, got = self._recv_frames(
-                    0.05 if self.pump is None else 0.02)
+                    min(slice_s, max(0.0, stop - now)))
                 if future.done:
                     break
                 if processed == 0 and got == 0:
                     if self.pump is not None:
                         # deterministic loopback: the server settled
                         # everything it will without a re-send — burn
-                        # the attempt budget on the manual clock
-                        self._sleep(max(
-                            0.0, attempt_deadline - self.clock.now()))
+                        # the wait on the manual clock
+                        self._sleep(max(0.0, stop - self.clock.now()))
                     if self.clock.now() >= attempt_deadline:
                         break
-                if (overall is not None
-                        and self.clock.now() >= overall):
-                    break
             if future.done:
                 break
-            attempt += 1
+            state[0] += 1
+            state[1] = None
             self.timeouts += 1
-            if attempt > self.max_retries:
-                err = RetryError(
-                    f"no response for {key!r} after {attempt} attempts")
-                if last_exc is not None:
-                    raise err from last_exc
-                raise err
+            if state[0] > self.max_retries:
+                raise RetryError(
+                    f"no response for {key!r} after {state[0]} attempts")
             self.retries += 1
-            self._sleep(self._backoff_s(attempt))
+            self._sleep(self._backoff_s(state[0]))
             self._transmit(self._requests[key])
 
     # -- public API -------------------------------------------------------- #

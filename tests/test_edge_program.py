@@ -68,7 +68,8 @@ class TestBitExactness:
         got = _strict_predict(edge, x, batch_size=16)   # 16 + 16 + 4
         np.testing.assert_array_equal(
             got, edge.predict(x, batch_size=16, compiled=False))
-        shapes = {k[0][0] for k, p in edge._programs.items() if p is not None}
+        shapes = {k[2][0] for k, e in edge.plan_cache.items(scope=edge)
+                  if e.plan is not None}
         assert {16, 4} <= shapes
 
     def test_serialization_roundtrip_into_compiled_path(
@@ -78,7 +79,8 @@ class TestBitExactness:
         save_edge_model(edge, path)
         loaded = load_edge_model(path)
         got = _strict_predict(loaded, x)
-        assert any(p is not None for p in loaded._programs.values())
+        assert any(e.plan is not None
+                   for _, e in loaded.plan_cache.items(scope=loaded))
         np.testing.assert_array_equal(got, edge.predict(x, compiled=False))
 
 
@@ -208,7 +210,7 @@ class TestReLULowering:
         em = _conv_relu_model(rng, conv_out, relu_out)
         x = rng.random((8, 3, 7, 7))
         got = _strict_predict(em, x)
-        prog = next(iter(em._programs.values()))
+        prog = next(e.plan for _, e in em.plan_cache.items(scope=em))
         assert prog.fused_relus == 1
         assert not any(isinstance(s, _ReLUStep) for s in prog.steps)
         np.testing.assert_array_equal(got, em.predict(x, compiled=False))
@@ -221,7 +223,7 @@ class TestReLULowering:
         em = _conv_relu_model(rng, conv_out, relu_out)
         x = rng.random((8, 3, 7, 7))
         got = _strict_predict(em, x)
-        prog = next(iter(em._programs.values()))
+        prog = next(e.plan for _, e in em.plan_cache.items(scope=em))
         assert prog.fused_relus == 0
         assert any(isinstance(s, _ReLUStep) for s in prog.steps)
         np.testing.assert_array_equal(got, em.predict(x, compiled=False))
@@ -261,7 +263,7 @@ class TestFallback:
         em = EdgeModel(edge.ops[:-1] + [Identity(), edge.ops[-1]], 10)
         with pytest.warns(RuntimeWarning, match="lowering failed"):
             got = em.predict(x)
-        assert list(em._programs.values()) == [None]
+        assert [e.plan for _, e in em.plan_cache.items(scope=em)] == [None]
         np.testing.assert_array_equal(got, em.predict(x, compiled=False))
 
     def test_validation_mismatch_falls_back(self, lenet_edge, monkeypatch):
@@ -290,7 +292,7 @@ class TestProgramCache:
         em = EdgeModel(edge.ops, 10)
         _strict_predict(em, x[:8])
         _strict_predict(em, x[:8].astype(np.float32))
-        keys = set(em._programs)
+        keys = {k[2:] for k, _ in em.plan_cache.items(scope=em)}
         assert ((8, 1, 16, 16), "<f8") in keys
         assert ((8, 1, 16, 16), "<f4") in keys
 
@@ -298,4 +300,4 @@ class TestProgramCache:
         edge, x = lenet_edge
         em = EdgeModel(edge.ops, 10)
         em.predict(x[:4], compiled=False)
-        assert em._programs == {}
+        assert not list(em.plan_cache.items(scope=em))

@@ -1,6 +1,7 @@
 """Paired-program attack engine: sweep-vs-sequential parity, cross-batch
-work-stealing equivalence, paired-vs-separate executor bit-parity, the
-executor-cache keying fix, and the experiment dtype policy."""
+work-stealing equivalence, paired-vs-separate executor bit-parity,
+keep-best early exit and gradient-pass counts, the executor-cache keying
+fix, and the experiment dtype policy."""
 
 import dataclasses
 import gc
@@ -9,9 +10,11 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.attacks import DIVA, PGD, PairedExecutor, TargetedDIVA, generate_grid
+from repro.attacks import (CWLinf, DIVA, MomentumPGD, PGD, PairedExecutor,
+                           TargetedDIVA, generate_grid)
 from repro.attacks.base import softmax_np, softmax_vjp
 from repro.nn.graph import ScratchPool, compile_forward
+from repro.nn.module import Module
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +29,96 @@ def pair_setup(request):
     return model, quant, atk
 
 
+@pytest.fixture(scope="module")
+def qat_pair():
+    """Untrained resnet + frozen 8-bit adaptation with self-labels, in
+    float32 pixels."""
+    from repro.models import build_model
+    from repro.quantization import calibrate, prepare_qat
+    from repro.training import predict_labels
+    rng = np.random.default_rng(0)
+    x = rng.random((16, 3, 12, 12), dtype=np.float32)
+    orig = build_model("resnet", num_classes=6, width=4, seed=0)
+    quant = prepare_qat(orig, weight_bits=8)
+    calibrate(quant, x)
+    quant.freeze()
+    quant.eval()
+    y = predict_labels(orig, x, batch_size=len(x))
+    return orig, quant, x, y
+
+
 EPS = 32.0 / 255.0
 ALPHA = 4.0 / 255.0
+KW = dict(eps=EPS, alpha=ALPHA, steps=6)
+
+#: compiled-vs-eager parity cases: (attack factory, sweep variants or
+#: None for a plain ``generate``)
+PARITY_CASES = [
+    pytest.param(lambda o, q: DIVA(o, q, **KW), None, id="DIVA"),
+    pytest.param(lambda o, q: TargetedDIVA(o, q, target_class=1, **KW), None,
+                 id="TargetedDIVA"),
+    pytest.param(lambda o, q: TargetedDIVA(o, q, target_class=2, **KW), None,
+                 id="TargetedDIVA-target2"),
+    pytest.param(lambda o, q: DIVA(o, q, **dict(KW, c=0.5)), None,
+                 id="DIVA-c0.5"),
+    pytest.param(lambda o, q: DIVA(o, q, **dict(KW, c=2.0)), None,
+                 id="DIVA-c2.0"),
+    pytest.param(lambda o, q: PGD(q, **dict(KW, eps=0.03, alpha=0.01)), None,
+                 id="PGD-keep_best-eps0.03"),
+    pytest.param(lambda o, q: PGD(q, **dict(KW, eps=0.1, alpha=0.05)), None,
+                 id="PGD-keep_best-eps0.1"),
+    pytest.param(lambda o, q: PGD(q, keep_best=False,
+                                  **dict(KW, eps=0.03, alpha=0.01)), None,
+                 id="PGD-no_keep_best-eps0.03"),
+    pytest.param(lambda o, q: PGD(q, keep_best=False,
+                                  **dict(KW, eps=0.1, alpha=0.05)), None,
+                 id="PGD-no_keep_best-eps0.1"),
+    pytest.param(lambda o, q: CWLinf(q, kappa=0.0, **KW), None,
+                 id="CWLinf-kappa0"),
+    pytest.param(lambda o, q: CWLinf(q, kappa=1.0, **KW), None,
+                 id="CWLinf-kappa1"),
+    pytest.param(lambda o, q: DIVA(o, q, **KW),
+                 [{"c": 0.5}, {"c": 1.0, "eps": 0.05},
+                  {"c": 2.0, "alpha": 0.02}], id="DIVA-sweep"),
+]
+
+
+class _SpyModel(Module):
+    """Counts forward calls through a wrapped model."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.calls = 0
+
+    def forward(self, x):
+        self.calls += 1
+        return self.inner(x)
+
+
+class _NeverSucceeds:
+    """Mixin: the success criterion never fires, so every row runs all
+    ``steps`` and the pass count is exactly deterministic."""
+
+    def success_from_logits(self, aux, y):
+        return None if aux is None else np.zeros(len(y), dtype=bool)
+
+    def is_success(self, x_adv, y):
+        return np.zeros(len(x_adv), dtype=bool)
+
+
+class _NeverSucceedsPGD(_NeverSucceeds, PGD):
+    pass
+
+
+class _NeverSucceedsMomentumPGD(_NeverSucceeds, MomentumPGD):
+    pass
+
+
+class _FullBatchPGD(PGD):
+    """PGD forced onto the legacy per-batch keep-best loop."""
+
+    shrink_done = False
 
 
 class TestPairedExecutor:
@@ -79,17 +170,21 @@ class TestPairedExecutor:
 
         assert PairedExecutor.compile((Opaque(),), np.zeros((2, 1, 4, 4))) is None
 
-    @pytest.mark.parametrize("cls", [DIVA, TargetedDIVA])
-    def test_paired_generate_matches_eager(self, pair_setup, cls):
+    @pytest.mark.parametrize("make,variants", PARITY_CASES)
+    def test_paired_generate_matches_eager(self, pair_setup, make, variants):
         orig, quant, atk = pair_setup
-        kwargs = dict(eps=EPS, alpha=ALPHA, steps=6)
-        if cls is TargetedDIVA:
-            kwargs["target_class"] = 1
-        fast = cls(orig, quant, **kwargs).generate(atk.x, atk.y)
-        slow_atk = cls(orig, quant, **kwargs)
-        slow_atk.use_compiled = False
-        slow = slow_atk.generate(atk.x, atk.y)
-        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+        def run(compiled):
+            a = make(orig, quant)
+            a.use_compiled = compiled
+            if variants is None:
+                return [a.generate(atk.x, atk.y)]
+            return a.generate_sweep(atk.x, atk.y, variants)
+
+        fast, slow = run(True), run(False)
+        assert len(fast) == len(slow) == len(variants or [None])
+        for f, s in zip(fast, slow):
+            np.testing.assert_allclose(f, s, rtol=0, atol=1e-12)
 
 
 class TestWorkStealing:
@@ -121,6 +216,74 @@ class TestWorkStealing:
         ref = PGD(quant, **kw).generate(atk.x, atk.y)
         stolen = PGD(quant, **kw).generate(atk.x, atk.y, batch_size=4)
         np.testing.assert_array_equal(ref, stolen)
+
+
+class TestEarlyExit:
+    def test_successful_rows_hold_their_first_success(self, qat_pair):
+        """A keep-best row retires at its first success: stepping it
+        further (keep_best=False) changes bytes, proving the done mask
+        (not luck) held the iterate."""
+        orig, quant, x, y = qat_pair
+        a = PGD(quant, eps=0.1, alpha=0.02, steps=10)
+        a.generate(x, y)                              # warm the plans
+        got = a.generate(x, y)
+        c = PGD(quant, eps=0.1, alpha=0.02, steps=10, keep_best=False)
+        free = c.generate(x, y)
+        ok = a.is_success(got, y)
+        assert ok.any()
+        # every successful row is genuinely adversarial and in-budget
+        assert np.abs(got - x).max() <= 0.1 + 1e-6
+        # at least one early-retired row differs from the free-running one
+        assert any(not np.array_equal(got[i], free[i])
+                   for i in np.flatnonzero(ok))
+
+    def test_never_succeeding_rows_pay_exactly_steps_replays(self, qat_pair):
+        """Warm plans, never-succeeding rows: program replays == steps —
+        no trailing success forward, no hidden extra passes."""
+        orig, quant, x, y = qat_pair
+        steps = 7
+        a = _NeverSucceedsPGD(quant, eps=0.5, alpha=0.01, steps=steps)
+        a.generate(x[:8], y[:8])                      # warm the plans
+        ex = a._compiled(quant, x[:8])
+        before = ex.replays
+        a.generate(x[:8], y[:8])
+        assert ex.replays - before == steps
+
+
+class TestPassCountRegression:
+    """generate and run_scheduled share done-mask semantics; single-step
+    keep-best runs cost exactly one pass on *both* loops (the legacy
+    per-batch keep-best loop historically paid a trailing success
+    forward)."""
+
+    def test_legacy_keep_best_loop_passes_exactly_steps(self, qat_pair):
+        orig, quant, x, y = qat_pair
+        steps = 5
+        spy = _SpyModel(quant)
+        atk = _NeverSucceedsMomentumPGD(spy, steps=steps, eps=0.1,
+                                        alpha=0.01)
+        atk.use_compiled = False
+        atk.generate(x[:8], y[:8])
+        assert spy.calls == steps
+
+    def test_fgsm_as_single_step_pgd_costs_one_pass_both_loops(self,
+                                                               qat_pair):
+        orig, quant, x, y = qat_pair
+        # float32-exact eps/alpha: the scheduled engine carries them as
+        # per-row float32 vectors, the legacy loop as python scalars
+        spy_sched = _SpyModel(quant)
+        sched = PGD(spy_sched, eps=0.125, alpha=0.125, steps=1)
+        sched.use_compiled = False
+        got_sched = sched.generate(x[:8], y[:8])
+        spy_legacy = _SpyModel(quant)
+        legacy = _FullBatchPGD(spy_legacy, eps=0.125, alpha=0.125, steps=1)
+        legacy.use_compiled = False
+        got_legacy = legacy.generate(x[:8], y[:8])
+        # identical done-mask semantics for rows succeeding on step 0:
+        # same bytes, and exactly one gradient pass on either loop
+        assert np.array_equal(got_sched, got_legacy)
+        assert spy_sched.calls == 1
+        assert spy_legacy.calls == 1
 
 
 class TestGenerateSweep:
@@ -201,7 +364,8 @@ class TestExecutorCacheKeying:
         atk.model, model = self._fresh(seed=4)[0], None
         gc.collect()
         assert wr() is not None
-        assert any(entry[0] is wr() for entry in atk._exec_cache.values())
+        assert any(o is wr() for _, e in atk.plan_cache.items(scope=atk)
+                   for o in e.owners)
 
     def test_rebound_model_gets_its_own_program(self):
         model_a, x, y = self._fresh(seed=3)
@@ -214,7 +378,8 @@ class TestExecutorCacheKeying:
         np.testing.assert_allclose(rebound, ref, rtol=0, atol=1e-12)
         assert not np.array_equal(first, rebound)
         # both entries alive, each pinning its own model
-        models = [entry[0] for entry in atk._exec_cache.values()]
+        models = [o for _, e in atk.plan_cache.items(scope=atk)
+                  for o in e.owners]
         assert any(m is model_a for m in models)
         assert any(m is model_b for m in models)
 

@@ -24,10 +24,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import (AdmissionError, DeadlineError, Journal,
-                         ManualClock, RetryError, ServeSession, ShedError,
-                         assign_arrivals, build_workload,
-                         default_net_chaos_specs)
+from repro.serve import (AdmissionError, DeadlineError, FaultInjector,
+                         FaultSpec, Journal, ManualClock, RetryError,
+                         ServeSession, ShedError, assign_arrivals,
+                         build_workload, default_net_chaos_specs, inject)
 from repro.serve.net import (FrameParser, ProtocolError, ServeClient,
                              ServeServer, encode_frame, replay_net,
                              verify_net_parity)
@@ -271,6 +271,57 @@ def test_client_overall_timeout_raises_deadline_error(wl):
         with pytest.raises(DeadlineError):
             silent.result(timeout=0.1)
         assert not silent.done            # the wait expired, not the job
+    finally:
+        client.close()
+        server.kill()
+
+
+def test_bounded_wait_inside_an_attempt_neither_retries_nor_resends(wl,
+                                                                     ref):
+    clock, _session, server, client = _loopback(wl)   # attempt: 0.25 s
+    try:
+        job = wl.jobs[0]
+        fut = client.submit(job.record, job.x, job.y)
+        sent, t0 = client.frames_sent, clock.now()
+        pump, client.pump = client.pump, (lambda: 0)  # server silent
+        with pytest.raises(DeadlineError):
+            fut.result(timeout=0.1)
+        # the wait ended at its own deadline: no attempt spent, no
+        # backoff slept, no duplicate frame on the wire
+        assert client.retries == 0 and client.timeouts == 0
+        assert client.frames_sent == sent
+        assert clock.now() - t0 == pytest.approx(0.1)
+        client.pump = pump
+        _check_identical(fut.result(), ref[0])
+        assert server.stats["accepted"] == 1
+        assert server.stats["deduped"] == 0
+    finally:
+        client.close()
+        server.kill()
+
+
+def test_dropped_frame_heals_through_short_bounded_waits(wl, ref):
+    clock, _session, server, client = _loopback(wl)   # attempt: 0.25 s
+    inj = FaultInjector([FaultSpec("net.client.send", "drop", rate=1.0,
+                                   max_fires=1)], seed=FAULT_SEED,
+                        clock=clock)
+    try:
+        job = wl.jobs[0]
+        with inject(inj):
+            fut = client.submit(job.record, job.x, job.y)   # lost
+            expired = 0
+            while True:
+                try:
+                    got = fut.result(timeout=0.05)
+                    break
+                except DeadlineError:
+                    expired += 1
+                    assert expired < 40, "the lost frame was never re-sent"
+        # the attempt deadline carried across the waits: one re-send,
+        # once 0.25 s of total waiting had passed
+        assert expired >= 4
+        assert client.retries == 1
+        _check_identical(got, ref[0])
     finally:
         client.close()
         server.kill()

@@ -461,15 +461,9 @@ class TestServeParity:
         session.submit_attack(b, x[4:8], y[4:8]).result()
         assert a.plan_cache is session.plan_cache
         assert b.plan_cache is session.plan_cache
-        # the pair compiled once and the whole-loop plan recorded once,
-        # both shared across the session
+        # the pair compiled once, shared across the session
         keys = [k for k, _ in session.plan_cache.items()]
-        model_keys = [k for k in keys
-                      if not (isinstance(k, tuple) and k
-                              and k[0] == "attack-loop")]
-        loop_keys = [k for k in keys if k not in model_keys]
-        assert len(model_keys) == 1
-        assert len(loop_keys) <= 1
+        assert len(keys) == 1
         assert session.plan_cache.stats["entries"] == len(keys)
 
 

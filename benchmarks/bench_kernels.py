@@ -412,71 +412,6 @@ def test_serve_throughput(benchmark):
     benchmark.extra_info["serve_coalesced"] = parity["coalesced_dispatches"]
 
 
-_POOL_ARM = """
-import sys, time, statistics
-from repro.serve import ServeSession, build_workload, mixed_workload_spec, \\
-    replay_serve
-mode = sys.argv[1]
-w = build_workload(mixed_workload_spec(scale=3))
-# Both arms hold ONE long-lived session; the only difference is the
-# dispatch backend behind it — the legacy single-threaded scheduler vs
-# the worker pool (4 lanes, sharded caches/breakers, seeded stealing).
-workers = None if mode == "scheduler" else int(mode)
-session = ServeSession(capacity=64, workers=workers)
-fn = lambda: replay_serve(w, session=session)
-fn()    # warm plans/BLAS in both arms
-chunks = []
-for _ in range(7):
-    t0 = time.perf_counter()
-    fn()
-    chunks.append(time.perf_counter() - t0)
-print(statistics.median(chunks))
-"""
-
-
-def _pool_arm_seconds(mode):
-    import subprocess
-    import sys
-    out = subprocess.run([sys.executable, "-c", _POOL_ARM, mode],
-                         capture_output=True, text=True, check=True)
-    return float(out.stdout.strip().splitlines()[-1])
-
-
-def test_parallel_serving(benchmark):
-    """The same recorded burst through one session on the legacy
-    single-threaded scheduler vs the worker pool (``workers=4``) —
-    process-isolated arms, symmetric long-lived state.
-
-    The pool's contract is bytes-first: per-job results must be
-    bit-identical to sequential dispatch at every worker count (the
-    in-process ``verify_parity`` gate below fails the bench otherwise).
-    Wall-time is reported, not asserted — on a single-CPU container the
-    pool's win is bounded by BLAS already saturating the core, and the
-    number records exactly that.
-    """
-    from repro.serve import (ServeSession, build_workload,
-                             mixed_workload_spec, replay_serve,
-                             verify_parity)
-
-    seq_s = _pool_arm_seconds("scheduler")
-    pool_s = _pool_arm_seconds("4")
-
-    w = build_workload(mixed_workload_spec(scale=3))
-    parity = verify_parity(w, workers=4)        # hard bit-parity gate
-    session = ServeSession(capacity=64, workers=4)
-    benchmark(lambda: replay_serve(w, session=session))
-    pool = session.stats["pool"]
-    benchmark.extra_info["parallel_jobs"] = len(w.jobs)
-    benchmark.extra_info["parallel_rows"] = w.rows
-    benchmark.extra_info["parallel_workers"] = 4
-    benchmark.extra_info["parallel_scheduler_ms"] = seq_s * 1e3
-    benchmark.extra_info["parallel_pool_ms"] = pool_s * 1e3
-    benchmark.extra_info["parallel_pool_speedup"] = seq_s / pool_s
-    benchmark.extra_info["parallel_dispatches"] = parity["dispatches"]
-    benchmark.extra_info["parallel_waves"] = pool["waves"]
-    benchmark.extra_info["parallel_steals"] = pool["steals"]
-
-
 def test_conv2d_forward_backward(benchmark, conv_inputs):
     x, w = conv_inputs
 

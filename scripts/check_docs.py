@@ -36,7 +36,6 @@ DOCTEST_MODULES = [
     "repro.serve.faults",
     "repro.serve.journal",
     "repro.serve.net",
-    "repro.serve.pool",
     "repro.serve.resilience",
     "repro.serve.scheduler",
     "repro.serve.session",

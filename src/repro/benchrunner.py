@@ -35,8 +35,7 @@ FAST_BENCH_FILTER = ("conv2d or fake_quant or compiled_replay "
                      "or eager_forward or attack_step or attack_sweep "
                      "or train_step or distill_epoch "
                      "or edge_infer or serve_throughput "
-                     "or float_coalesce or rowrep_gemm or net_serving "
-                     "or parallel_serving")
+                     "or float_coalesce or rowrep_gemm or net_serving")
 
 
 def repo_root() -> Path:
@@ -94,7 +93,6 @@ def summarize(raw: dict, sha: str) -> dict:
     float_coalesce = {}
     rowrep_gemm = {}
     net_serving = {}
-    parallel_serving = {}
     for bench in raw.get("benchmarks", []):
         name = bench["name"].split("[")[0].removeprefix("test_")
         if "[" in bench["name"]:        # parametrized: keep the variant tag
@@ -159,18 +157,6 @@ def summarize(raw: dict, sha: str) -> dict:
                 "chaos_deduped": extra["net_chaos_deduped"],
                 "chaos_ok": extra["net_chaos_ok"],
             }
-        if "parallel_pool_speedup" in extra:
-            parallel_serving = {
-                "jobs": extra["parallel_jobs"],
-                "rows": extra["parallel_rows"],
-                "workers": extra["parallel_workers"],
-                "scheduler_ms": extra["parallel_scheduler_ms"],
-                "pool_ms": extra["parallel_pool_ms"],
-                "speedup": extra["parallel_pool_speedup"],
-                "dispatches": extra["parallel_dispatches"],
-                "waves": extra["parallel_waves"],
-                "steals": extra["parallel_steals"],
-            }
         if "rowrep_overhead_pct" in extra:
             rowrep_gemm = {
                 "rows": extra["rowrep_rows"],
@@ -209,7 +195,6 @@ def summarize(raw: dict, sha: str) -> dict:
         "float_coalesce": float_coalesce,
         "rowrep_gemm": rowrep_gemm,
         "net_serving": net_serving,
-        "parallel_serving": parallel_serving,
     }
 
 
@@ -274,13 +259,6 @@ def main(argv: Optional[list] = None) -> int:
         print(f"  row-reproducible GEMM overhead "
               f"{r['overhead_pct']:+.1f}% vs raw BLAS "
               f"({r['rows']} rows, full blocks)")
-    if summary["parallel_serving"]:
-        p = summary["parallel_serving"]
-        print(f"  parallel serving ({p['jobs']} jobs, {p['workers']} "
-              f"workers) {p['speedup']:.2f}x pool vs scheduler "
-              f"({p['scheduler_ms']:.1f} -> {p['pool_ms']:.1f} ms; "
-              f"{p['waves']} waves, {p['steals']} steals, "
-              "bit-parity gated)")
     if summary["net_serving"]:
         n = summary["net_serving"]
         print(f"  net serving boundary {n['boundary_overhead_pct']:+.1f}% "

@@ -77,8 +77,7 @@ def _serve_listen(args, spec) -> int:
     session = ServeSession(capacity=args.capacity,
                            float_coalesce=args.float_coalesce != "off",
                            default_deadline_s=(args.deadline_ms / 1e3
-                                               if args.deadline_ms else None),
-                           workers=args.workers)
+                                               if args.deadline_ms else None))
     server = ServeServer(session, spec=spec, port=args.listen,
                          journal_path=args.journal)
     if server.recovered_completed or server.recovered_incomplete:
@@ -160,8 +159,7 @@ def _serve_net_loopback(args, spec) -> int:
                             capacity=args.capacity,
                             journal_path=args.journal,
                             deadline_s=(args.deadline_ms / 1e3
-                                        if args.deadline_ms else None),
-                            workers=args.workers)
+                                        if args.deadline_ms else None))
     gate = ("chaos OK: every ok job bit-identical under seeded network "
             f"faults (seed {args.net_fault_seed})" if args.net_faults
             else "parity OK: every ok job bit-identical over the wire")
@@ -204,11 +202,9 @@ def _run_serve(args) -> int:
     if args.net:
         return _serve_net_loopback(args, spec)
     float_coalesce = args.float_coalesce != "off"
-    lane = ("sequential scheduler" if args.workers is None
-            else f"pool x{args.workers}")
     print(f"=== serve: workload {spec['name']} "
           f"({len(spec['jobs'])} jobs, float coalescing "
-          f"{'on' if float_coalesce else 'off'}, {lane}) ===")
+          f"{'on' if float_coalesce else 'off'}) ===")
     t0 = time.time()
     if args.faults:
         from ..serve import chaos_replay
@@ -216,8 +212,7 @@ def _run_serve(args) -> int:
                            seed=args.fault_seed,
                            deadline_s=(args.deadline_ms / 1e3
                                        if args.deadline_ms else None),
-                           float_coalesce=float_coalesce,
-                           workers=args.workers)
+                           float_coalesce=float_coalesce)
         print(f"  chaos OK: every surviving job bit-identical, every "
               f"refusal structured (fault seed {args.fault_seed})")
         breakdown = ", ".join(f"{k}={v}" for k, v in
@@ -236,8 +231,7 @@ def _run_serve(args) -> int:
               f"{out['admission']['shed']} shed")
     else:
         out = verify_parity(build_workload(spec), capacity=args.capacity,
-                            float_coalesce=float_coalesce,
-                            workers=args.workers)
+                            float_coalesce=float_coalesce)
         print(f"  parity OK: every job bit-identical to its solo run")
         print(f"  sequential {out['sequential_s'] * 1e3:8.1f} ms  "
               f"({out['rows']} rows, {out['jobs']} jobs)")
@@ -310,12 +304,6 @@ def main(argv=None) -> int:
                         help="serve: write-ahead journal for --listen/"
                              "--net (crash recovery + idempotent "
                              "re-reporting)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="serve: dispatch through the worker-pool "
-                             "scheduler with N workers and N plan-cache/"
-                             "breaker shards (results stay bit-identical "
-                             "to sequential dispatch at every N; default: "
-                             "the legacy single-threaded scheduler)")
     parser.add_argument("--float-coalesce", choices=("on", "off"),
                         default="on",
                         help="serve: coalesce float-predict jobs (and mix "

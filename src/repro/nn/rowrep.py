@@ -23,7 +23,7 @@ This module closes the gap with a fixed-order blocked GEMM:
 Row ``i``'s bits therefore depend only on row ``i`` and the right
 operand — never on ``M``, the row's position, or its co-batched rows —
 which is exactly the property that makes cross-request float
-coalescing (and, later, multi-worker float execution) value-neutral:
+coalescing value-neutral:
 any partition of any merged batch produces identical per-row bytes.
 
 The mode is a *per-thread* flag (:func:`row_reproducible` context
@@ -31,13 +31,12 @@ manager).  Compiled programs capture the mode at *plan build time* (the
 kernel closures bake it in), so every plan-cache key that can hold a
 float GEMM plan must include :func:`mode_key`; replaying a plan under
 the other mode is a cache-keying bug, not a runtime dispatch.
-Thread-locality matters for the worker pool (``repro.serve.pool``):
-each worker thread enters and exits :func:`row_reproducible` around its
-own float dispatches, and a shared flag would let one worker's exit
-silently flip the mode under another worker mid-GEMM.  The tail-padding
-scratch buffers are thread-local for the same reason — two workers
-padding ragged tails of the same ``(K, dtype)`` geometry must not share
-bytes.
+Thread-locality keeps the mode a property of the calling thread: a
+thread that enters and exits :func:`row_reproducible` around its own
+float work cannot flip the mode under another thread mid-GEMM.  The
+tail-padding scratch buffers are thread-local for the same reason — two
+threads padding ragged tails of the same ``(K, dtype)`` geometry must
+not share bytes.
 
 The overhead is bounded and tracked: full-block batches pay ~1-2% over
 raw ``np.matmul`` (the ``rowrep_gemm`` microbench gates it at 15%);
@@ -59,8 +58,8 @@ import numpy as np
 #: produce different — individually reproducible — bits.
 ROW_BLOCK = 256
 
-#: per-thread mode flag + tail scratch; worker-pool threads toggle the
-#: mode independently, so neither may live at module scope
+#: per-thread mode flag + tail scratch; threads toggle the mode
+#: independently, so neither may live at module scope
 _tls = threading.local()
 
 
@@ -101,9 +100,9 @@ def row_reproducible(on: bool = True):
     Nestable and exception-safe; the previous mode is restored on exit.
     The serving layer wraps every float-inference dispatch — coalesced,
     solo and eager alike — in this, so degradation down the ladder can
-    change latency but never bytes.  The flag is per-thread: a pool
-    worker's region never leaks into (or gets torn down by) another
-    worker's.
+    change latency but never bytes.  The flag is per-thread: one
+    thread's region never leaks into (or gets torn down by) another
+    thread's.
     """
     prev = _state_enabled()
     _tls.enabled = bool(on)

@@ -42,31 +42,25 @@ that layer:
   ``net.client.*`` frame-fault points wired into the chaos harness;
 - :mod:`repro.serve.journal` — the write-ahead journal of accepted
   jobs that makes a killed-and-restarted server replay and re-report
-  bit-identical outcomes;
-- :mod:`repro.serve.pool` — the worker-pool executor behind the
-  scheduler: waves of independent dispatch groups planned
-  single-threaded, serialized per conflict component, placed by a
-  seeded steal pass onto N workers (each hitting its
-  :class:`ShardedPlanCache` / :class:`ShardedCircuitBreaker` shards)
-  and published through a single-writer result plane — per-job results
-  bit-identical to sequential dispatch at every worker count.
+  bit-identical outcomes.
+
+Dispatch is one single-threaded loop, :meth:`Scheduler.run_pending`;
+every session, replay and server drains through it.
 """
 
-from .cache import PlanCache, ShardedPlanCache, plan_nbytes
+from .cache import PlanCache, plan_nbytes
 from .faults import FaultInjector, FaultSpec, InjectedFault, \
     default_chaos_specs, default_net_chaos_specs, inject
 from .journal import Journal, pack_arrays, unpack_arrays
 from .net import (FrameParser, NetError, ProtocolError, RetryError,
                   ServeClient, ServeServer, encode_frame, replay_net,
                   verify_net_parity)
-from .pool import PoolScheduler, StealRecord
 from .resilience import (LADDER, AdmissionController, AdmissionError,
                          CircuitBreaker, Clock, DeadlineError,
-                         DeadlineToken, JobError, ManualClock, OffsetClock,
-                         QuotaError, ServeError, ShardedCircuitBreaker,
-                         ShedError)
-from .scheduler import (OUTCOMES, DispatchContext, DispatchRecord, Job,
-                        JobFuture, Scheduler)
+                         DeadlineToken, JobError, ManualClock, QuotaError,
+                         ServeError, ShedError)
+from .scheduler import (OUTCOMES, DispatchRecord, Job, JobFuture,
+                        Scheduler)
 from .session import ServeSession
 from .workload import (Workload, assign_arrivals, attack_factory,
                        build_models, build_workload, chaos_replay,
@@ -75,19 +69,17 @@ from .workload import (Workload, assign_arrivals, attack_factory,
                        verify_parity)
 
 __all__ = [
-    "PlanCache", "ShardedPlanCache", "plan_nbytes",
+    "PlanCache", "plan_nbytes",
     "FaultInjector", "FaultSpec", "InjectedFault", "default_chaos_specs",
     "default_net_chaos_specs", "inject",
     "Journal", "pack_arrays", "unpack_arrays",
     "FrameParser", "NetError", "ProtocolError", "RetryError",
     "ServeClient", "ServeServer", "encode_frame", "replay_net",
     "verify_net_parity",
-    "PoolScheduler", "StealRecord",
     "LADDER", "AdmissionController", "AdmissionError", "CircuitBreaker",
     "Clock", "DeadlineError", "DeadlineToken", "JobError", "ManualClock",
-    "OffsetClock", "QuotaError", "ServeError", "ShardedCircuitBreaker",
-    "ShedError",
-    "OUTCOMES", "DispatchContext", "DispatchRecord", "Job", "JobFuture",
+    "QuotaError", "ServeError", "ShedError",
+    "OUTCOMES", "DispatchRecord", "Job", "JobFuture",
     "Scheduler", "ServeSession",
     "Workload", "assign_arrivals", "attack_factory", "build_models",
     "build_workload", "chaos_replay", "load_workload",

@@ -38,9 +38,9 @@ that requested them), so ``plan_cache.items(scope=owner)`` lists one
 owner's plans even in a shared session store — the introspection query
 tests and debugging use.
 
-The cache is deliberately single-threaded (as is the whole scheduler —
-this container is single-CPU; see ROADMAP's multi-core note) and makes
-no attempt to share eviction pressure across processes.
+The cache is deliberately single-threaded: the scheduler's one
+dispatch loop is its only writer, so it takes no locks.  It makes no
+attempt to share eviction pressure across processes.
 
 Doctest — the full lifecycle on toy plans::
 
@@ -68,12 +68,9 @@ Doctest — the full lifecycle on toy plans::
 
 from __future__ import annotations
 
-import threading
 import weakref
-import zlib
 from collections import OrderedDict
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,9 +86,6 @@ _FAILURE_NBYTES = 256
 
 #: cap on remembered evicted keys (rebuild-stat bookkeeping only)
 _EVICTED_KEYS_MAX = 4096
-
-#: sentinel distinguishing "no entry" from a cached pinned-failure None
-_MISS = object()
 
 
 def plan_nbytes(plan: Any) -> int:
@@ -238,18 +232,6 @@ class PlanCache:
         iteration/refresh (e.g. one attack instance inside a shared
         session cache).
         """
-        plan = self._lookup(key, owners)
-        if plan is not _MISS:
-            return plan
-        plan = build()
-        self._insert_plan(key, owners, plan, scope)
-        return plan
-
-    def _lookup(self, key, owners: Tuple) -> Any:
-        """Hit value (possibly a pinned-failure None) or :data:`_MISS`,
-        with all hit/stale/cool-down bookkeeping applied.  Split from
-        :meth:`get` so :class:`ShardedPlanCache` can hold its shard lock
-        for the lookup and the insert but run the builder outside it."""
         entry = self._entries.get(key)
         if entry is not None:
             if (len(entry.owners) == len(owners)
@@ -274,9 +256,7 @@ class PlanCache:
         if key in self._evicted_keys:
             self.rebuilds += 1
             del self._evicted_keys[key]
-        return _MISS
-
-    def _insert_plan(self, key, owners: Tuple, plan: Any, scope: Any) -> None:
+        plan = build()
         # entries pin their owners, so an owner's arrays are resident
         # for exactly as long as the entry is: charge them to the
         # budget too (double-charged when several entries pin one
@@ -285,6 +265,7 @@ class PlanCache:
         failed_at = self.clock.now() if plan is None else None
         self._insert(key, _Entry(tuple(owners), plan, nbytes, scope,
                                  failed_at=failed_at))
+        return plan
 
     def _insert(self, key, entry: _Entry) -> None:
         self._entries[key] = entry
@@ -353,145 +334,3 @@ class PlanCache:
     def clear(self) -> None:
         self._entries.clear()
         self._evicted_keys.clear()
-
-
-class ShardedPlanCache:
-    """N :class:`PlanCache` shards behind one deterministic key router —
-    the worker pool's program store.
-
-    Each pool worker's dispatches hit the shard its keys route to, so
-    plan lookups from different workers contend only when their keys
-    genuinely share a shard.  The full :class:`PlanCache` interface is
-    preserved (``get`` / ``refresh`` / ``items`` / ``discard`` /
-    ``clear`` / ``stats`` / containment); callers — attacks, edge
-    models, the scheduler — cannot tell the difference, which is what
-    lets :meth:`ServeSession._adopt <repro.serve.session.ServeSession.
-    _adopt>` swap it in without touching any compiled leg.
-
-    **Deterministic routing.**  Plan keys embed raw ``id()``\\ s (model
-    identity), which vary run to run; hashing them raw would assign
-    keys to different shards on every run and make per-shard stats,
-    breaker state and steal decisions unreproducible.
-    :meth:`register_owner` gives each adopted object a stable
-    *adoption-order index*, and routing canonicalizes keys by
-    substituting registered ids with their index before hashing.  The
-    registry holds strong references so a registered id can never be
-    recycled onto a different object.
-
-    **Locking.**  One ``RLock`` per shard, held for lookups and inserts
-    but *not* across builders: a plan compile may re-enter the cache
-    under other keys (possibly on other shards), and holding shard A's
-    lock while waiting on shard B's is a lock-ordering deadlock with a
-    concurrent worker doing the reverse.  Duplicate concurrent builds
-    of one key cannot happen anyway — the pool serializes groups that
-    share plan owners onto one worker (the conflict-component rule), so
-    any two touches of the same key are ordered.
-
-    **Budget.**  ``budget_bytes`` splits evenly across shards.  Per-
-    shard eviction is value-neutral exactly as single-cache eviction
-    is: an evicted plan rebuilds on next request and re-runs its leg's
-    compile-time bit-validation.
-    """
-
-    def __init__(self, nshards: int = 1,
-                 budget_bytes: Optional[int] = None,
-                 failure_cooldown_s: Optional[float] = None,
-                 clock: Optional[Clock] = None):
-        if nshards < 1:
-            raise ValueError("nshards must be >= 1")
-        self.nshards = int(nshards)
-        self.budget_bytes = budget_bytes
-        self.clock = clock if clock is not None else Clock()
-        per_shard = (None if budget_bytes is None
-                     else max(int(budget_bytes) // self.nshards, 1))
-        self.shards: List[PlanCache] = [
-            PlanCache(budget_bytes=per_shard,
-                      failure_cooldown_s=failure_cooldown_s,
-                      clock=self.clock)
-            for _ in range(self.nshards)]
-        self._locks = [threading.RLock() for _ in range(self.nshards)]
-        self._owner_index: Dict[int, int] = {}
-        self._owners: List[Any] = []        # strong refs: ids stay stable
-
-    # -- routing -------------------------------------------------------- #
-    def register_owner(self, obj: Any) -> int:
-        """Assign (or return) ``obj``'s stable adoption-order index."""
-        idx = self._owner_index.get(id(obj))
-        if idx is None:
-            idx = len(self._owners)
-            self._owners.append(obj)
-            self._owner_index[id(obj)] = idx
-        return idx
-
-    def _canonical(self, key):
-        if isinstance(key, tuple):
-            return tuple(self._canonical(k) for k in key)
-        if isinstance(key, int) and not isinstance(key, bool):
-            idx = self._owner_index.get(key)
-            if idx is not None:
-                return ("owner", idx)
-        return key
-
-    def shard_index(self, key) -> int:
-        """The shard owning ``key`` — stable across runs for keys whose
-        embedded ids belong to registered owners."""
-        canon = repr(self._canonical(key)).encode("utf-8", "replace")
-        return zlib.crc32(canon) % self.nshards
-
-    # -- core ----------------------------------------------------------- #
-    def get(self, key, owners: Tuple, build: Callable[[], Any],
-            scope: Any = None) -> Any:
-        i = self.shard_index(key)
-        shard = self.shards[i]
-        with self._locks[i]:
-            plan = shard._lookup(key, owners)
-            if plan is not _MISS:
-                return plan
-        plan = build()          # outside the lock: builders may re-enter
-        with self._locks[i]:
-            shard._insert_plan(key, owners, plan, scope)
-        return plan
-
-    # -- introspection / maintenance ------------------------------------ #
-    def total_bytes(self) -> int:
-        return sum(s.total_bytes() for s in self.shards)
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.shards)
-
-    def __contains__(self, key) -> bool:
-        i = self.shard_index(key)
-        with self._locks[i]:
-            return key in self.shards[i]
-
-    def items(self, scope: Any = None) -> Iterator[Tuple[Any, _Entry]]:
-        for i, shard in enumerate(self.shards):
-            with self._locks[i]:
-                pairs = list(shard.items(scope))
-            for pair in pairs:
-                yield pair
-
-    def refresh(self, owners: Optional[Sequence] = None) -> None:
-        for i, shard in enumerate(self.shards):
-            with self._locks[i]:
-                shard.refresh(owners)
-
-    def discard(self, key) -> None:
-        i = self.shard_index(key)
-        with self._locks[i]:
-            self.shards[i].discard(key)
-
-    def clear(self) -> None:
-        for i, shard in enumerate(self.shards):
-            with self._locks[i]:
-                shard.clear()
-
-    @property
-    def stats(self) -> Dict[str, Any]:
-        per_shard = [s.stats for s in self.shards]
-        agg = {field: sum(s[field] for s in per_shard)
-               for field in ("hits", "misses", "evictions", "rebuilds",
-                             "reprobes", "entries", "resident_bytes")}
-        agg["nshards"] = self.nshards
-        agg["per_shard"] = per_shard
-        return agg

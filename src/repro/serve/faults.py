@@ -92,7 +92,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .resilience import Clock, ManualClock, ServeError
+from .resilience import ManualClock, ServeError
 
 #: every fault kind the injector understands; the last three are
 #: frame faults, meaningful only at ``net.*`` points (see :func:`frame`)
@@ -134,41 +134,15 @@ class FaultSpec:
 
 
 class _Stream:
-    """Runtime state of one spec: its own RNG stream and fire budget.
+    """Runtime state of one spec: its own RNG stream and fire budget."""
 
-    Under a worker-pool :func:`scope`, probes route to a per-*group*
-    derived sub-stream (keyed by the group's head sequence number, an
-    extra word in the RNG seed) with its own fire budget.  Group
-    execution order across workers then cannot perturb any group's draw
-    sequence — each group's chaos is a pure function of (seed, point,
-    slot, group), which is exactly why a chaos replay is bit-identical
-    at every worker count.
-    """
-
-    def __init__(self, spec: FaultSpec, seed: int, index: int,
-                 group: Optional[int] = None):
+    def __init__(self, spec: FaultSpec, seed: int, index: int):
         self.spec = spec
-        self.seed = seed
-        self.index = index
-        # one independent, reconstructible stream per (seed, point,
-        # slot[, group])
-        words = [seed, zlib.crc32(spec.point.encode()), index]
-        if group is not None:
-            words.append(group)
-        self.rng = np.random.default_rng(words)
+        # one independent, reconstructible stream per (seed, point, slot)
+        self.rng = np.random.default_rng(
+            [seed, zlib.crc32(spec.point.encode()), index])
         self.fires = 0
         self.probes = 0
-        self._scoped: Dict[int, "_Stream"] = {}
-
-    def scoped(self, group: int) -> "_Stream":
-        sub = self._scoped.get(group)
-        if sub is None:
-            # benign if two workers race distinct groups here: dict
-            # writes are atomic and the keys differ (a group only ever
-            # runs on one worker)
-            sub = self._scoped[group] = _Stream(
-                self.spec, self.seed, self.index, group=group)
-        return sub
 
     def draw(self) -> bool:
         self.probes += 1
@@ -199,43 +173,30 @@ class FaultInjector:
             self._streams.setdefault(spec.point, []).append(
                 _Stream(spec, self.seed, i))
         self.log: List[Dict[str, Any]] = []
+        # an installed injector is process-wide, so any thread that
+        # probes a point appends here
         self._log_lock = threading.Lock()
 
-    def _log_event(self, rec: Dict[str, Any],
-                   sc: Optional["_GroupScope"]) -> None:
-        if sc is not None:
-            rec["worker"] = sc.worker
-            rec["group"] = sc.group
+    def _log_event(self, rec: Dict[str, Any]) -> None:
         with self._log_lock:
             self.log.append(rec)
 
     # -- the two hooks --------------------------------------------------- #
     def fire(self, point: str) -> None:
         """Probe ``point``: latency faults advance the clock, then an
-        error fault (if drawn) raises :class:`InjectedFault`.
-
-        Inside a worker-pool :func:`scope`, draws come from the scope's
-        per-group derived streams, latency advances the scope's clock
-        (the group's :class:`~repro.serve.resilience.OffsetClock` view),
-        and log entries carry ``worker``/``group`` attribution.
-        """
-        sc = current_scope()
+        error fault (if drawn) raises :class:`InjectedFault`."""
         err = False
-        for base in self._streams.get(point, ()):
-            stream = base if sc is None else base.scoped(sc.group)
+        for stream in self._streams.get(point, ()):
             kind = stream.spec.kind
             if kind == "corrupt" or not stream.draw():
                 continue
             if kind == "latency":
-                clock = self.clock
-                if sc is not None and sc.clock is not None:
-                    clock = sc.clock
-                if clock is not None:
-                    clock.advance(stream.spec.delay_s)
+                if self.clock is not None:
+                    self.clock.advance(stream.spec.delay_s)
                 self._log_event({"point": point, "kind": "latency",
-                                 "delay_s": stream.spec.delay_s}, sc)
+                                 "delay_s": stream.spec.delay_s})
             else:
-                self._log_event({"point": point, "kind": "error"}, sc)
+                self._log_event({"point": point, "kind": "error"})
                 err = True
         if err:
             raise InjectedFault(point)
@@ -266,35 +227,33 @@ class FaultInjector:
                 if self.clock is not None:
                     self.clock.advance(stream.spec.delay_s)
                 self._log_event({"point": point, "kind": "latency",
-                                 "delay_s": stream.spec.delay_s}, None)
+                                 "delay_s": stream.spec.delay_s})
             elif kind == "drop":
                 plan = []
-                self._log_event({"point": point, "kind": "drop"}, None)
+                self._log_event({"point": point, "kind": "drop"})
             elif kind == "duplicate":
                 plan = plan + plan
-                self._log_event({"point": point, "kind": "duplicate"}, None)
+                self._log_event({"point": point, "kind": "duplicate"})
             else:   # truncate: cut the frame and sever the stream there
                 cut = int(stream.rng.integers(1, max(len(payload), 2)))
                 plan = [("truncate", payload[:cut])]
                 self._log_event({"point": point, "kind": "truncate",
-                                 "cut": cut}, None)
+                                 "cut": cut})
         return plan
 
     def corrupt(self, point: str, arr: np.ndarray) -> bool:
         """Probe ``point`` with a corruption target: flips one element
         of ``arr`` in place when the fault fires.  Returns whether it
         did (tests assert the downstream validator caught it)."""
-        sc = current_scope()
         hit = False
-        for base in self._streams.get(point, ()):
-            stream = base if sc is None else base.scoped(sc.group)
+        for stream in self._streams.get(point, ()):
             if stream.spec.kind != "corrupt" or not stream.draw():
                 continue
             flat = arr.reshape(-1)
             idx = int(stream.rng.integers(flat.size))
             flat[idx] += np.asarray(1, dtype=arr.dtype)
             self._log_event({"point": point, "kind": "corrupt",
-                             "index": idx}, sc)
+                             "index": idx})
             hit = True
         return hit
 
@@ -337,52 +296,6 @@ def inject(injector: FaultInjector):
         yield injector
     finally:
         _ACTIVE = previous
-
-
-class _GroupScope:
-    """One worker's current execution scope: which worker, which
-    dispatch group (by head seq), and the group's clock view."""
-
-    __slots__ = ("worker", "group", "clock")
-
-    def __init__(self, worker: int, group: int, clock: Optional[Clock]):
-        self.worker = worker
-        self.group = group
-        self.clock = clock
-
-
-_SCOPE = threading.local()
-
-
-def current_scope() -> Optional[_GroupScope]:
-    return getattr(_SCOPE, "current", None)
-
-
-@contextmanager
-def scope(worker: int, group: int, clock: Optional[Clock] = None):
-    """Tag the calling thread's fault probes with a worker/group scope.
-
-    The pool wraps each planned group's execution in this.  Three
-    effects, together the worker dimension of every fault point:
-
-    - draws route to per-group derived RNG streams (seeded by the
-      group's head seq), so chaos is a function of the *group*, not of
-      worker count or interleaving — the same workload chaos-replays
-      bit-identically at every ``--workers N``;
-    - ``max_fires`` budgets apply per group under a scope (each derived
-      stream has its own budget) — a "transient" spec is transient per
-      group;
-    - latency faults advance the scope's clock (the group's
-      :class:`~repro.serve.resilience.OffsetClock` view) instead of the
-      shared session clock, and log entries carry ``worker`` and
-      ``group`` fields for post-hoc attribution.
-    """
-    prev = current_scope()
-    _SCOPE.current = _GroupScope(int(worker), int(group), clock)
-    try:
-        yield
-    finally:
-        _SCOPE.current = prev
 
 
 def fire(point: str) -> None:

@@ -1013,8 +1013,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
                       rate: float = 10.0, capacity: int = 64,
                       journal_path: Optional[str] = None,
                       deadline_s: Optional[float] = None,
-                      reference: Optional[List] = None,
-                      workers: Optional[int] = None) -> Dict[str, Any]:
+                      reference: Optional[List] = None) -> Dict[str, Any]:
     """The networked acceptance gate: loopback server + retrying client
     (optionally under seeded frame chaos), every client-visible ``ok``
     result bit-identical to the solo in-process run.
@@ -1026,11 +1025,9 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     outcome breakdown plus client/server stats (``retried`` /
     ``deduped`` land in the CLI's per-outcome line).
 
-    ``workers`` routes the server's session through the
-    :class:`~repro.serve.pool.PoolScheduler` — the server's ``poll``
-    loop (driven here as the client's ``pump``) drains the session
-    exactly as before, so pooled dispatch sits entirely behind the
-    wire boundary and the client-visible bytes must not change.
+    The server's ``poll`` loop, driven here as the client's ``pump``,
+    drains the session through the scheduler's one dispatch loop, so
+    dispatch sits entirely behind the wire boundary.
     """
     if reference is None:
         from .workload import replay_sequential
@@ -1039,8 +1036,7 @@ def verify_net_parity(workload, fault_specs=None, seed: int = 0,
     session = ServeSession(capacity=capacity, clock=clock,
                            default_deadline_s=deadline_s,
                            quarantine_cooldown_s=0.5,
-                           failure_cooldown_s=0.5,
-                           workers=workers)
+                           failure_cooldown_s=0.5)
     server = ServeServer(session, spec=workload.spec,
                          models=(workload.original, workload.adapted,
                                  workload.edge),

@@ -312,7 +312,13 @@ def build_workload(spec: Dict[str, Any]) -> Workload:
     jobs: List[MaterializedJob] = []
     for i, rec in enumerate(spec["jobs"]):
         kind = rec["kind"]
-        rows = int(rec["rows"])
+        rows = rec["rows"]
+        # bool is an int subclass; int() would floor 2.7 and accept True
+        if (not isinstance(rows, (int, np.integer)) or isinstance(rows, bool)
+                or rows < 1):
+            raise ValueError(f"job {i}: rows must be an integer >= 1, "
+                             f"got {rows!r}")
+        rows = int(rows)
         tenant = rec.get("tenant")
         deadline_s = rec.get("deadline_s")
         deadline_s = None if deadline_s is None else float(deadline_s)
@@ -386,8 +392,7 @@ def replay_sequential(workload: Workload) -> Dict[str, Any]:
 
 def replay_serve(workload: Workload, capacity: int = 64,
                  session: Optional[ServeSession] = None,
-                 float_coalesce: bool = True,
-                 workers: Optional[int] = None) -> Dict[str, Any]:
+                 float_coalesce: bool = True) -> Dict[str, Any]:
     """All jobs through one session: submit in arrival order, drain.
 
     Per-job terminal states are recorded alongside the results:
@@ -398,13 +403,9 @@ def replay_serve(workload: Workload, capacity: int = 64,
     refused or failed job raised.  Graceful degradation is thereby
     distinguishable from silent corruption post-hoc — a replay record
     says *how* every job ended, not just what it returned.
-
-    ``workers`` builds the session on the worker-pool backend
-    (:mod:`repro.serve.pool`); per-job results are bit-identical to
-    every other worker count and to the single-threaded scheduler.
     """
     session = session if session is not None else ServeSession(
-        capacity=capacity, float_coalesce=float_coalesce, workers=workers)
+        capacity=capacity, float_coalesce=float_coalesce)
     futures = []
     t0 = time.perf_counter()
     for job in workload.jobs:
@@ -440,8 +441,7 @@ def replay_serve(workload: Workload, capacity: int = 64,
 def verify_parity(workload: Workload, capacity: int = 64,
                   allow_failures: bool = False,
                   serve: Optional[Dict[str, Any]] = None,
-                  float_coalesce: bool = True,
-                  workers: Optional[int] = None) -> Dict[str, Any]:
+                  float_coalesce: bool = True) -> Dict[str, Any]:
     """Replay both ways, assert bit-identical per-job results.
 
     The serving layer's whole contract in one call: coalescing and
@@ -459,8 +459,7 @@ def verify_parity(workload: Workload, capacity: int = 64,
     """
     seq = replay_sequential(workload)
     srv = serve if serve is not None else replay_serve(
-        workload, capacity=capacity, float_coalesce=float_coalesce,
-        workers=workers)
+        workload, capacity=capacity, float_coalesce=float_coalesce)
     not_ok = [(i, o) for i, o in enumerate(srv["outcomes"]) if o != "ok"]
     if not_ok and not allow_failures:
         raise AssertionError(
@@ -493,8 +492,7 @@ def chaos_replay(workload: Workload, capacity: int = 64,
                  deadline_s: Optional[float] = None,
                  max_pending_jobs: Optional[int] = None,
                  admission_policy: str = "reject",
-                 float_coalesce: bool = True,
-                 workers: Optional[int] = None) -> Dict[str, Any]:
+                 float_coalesce: bool = True) -> Dict[str, Any]:
     """Serve the workload under seeded fault injection and check every
     resilience invariant the chaos suite (and ``repro-exp serve
     --faults``) relies on:
@@ -528,7 +526,7 @@ def chaos_replay(workload: Workload, capacity: int = 64,
         quarantine_cooldown_s=0.5, failure_cooldown_s=0.5,
         max_pending_jobs=max_pending_jobs,
         admission_policy=admission_policy,
-        float_coalesce=float_coalesce, workers=workers)
+        float_coalesce=float_coalesce)
     with faults_mod.inject(injector):
         srv = replay_serve(workload, session=session)
     for i, outcome in enumerate(srv["outcomes"]):

@@ -88,6 +88,26 @@ class TestChaosReplay:
         assert a["faults_fired"] == b["faults_fired"]
         assert a["clock_s"] == b["clock_s"]
 
+    def test_fault_streams_replay_recorded_values(self):
+        """Stream identity across builds: seed 0 must keep drawing the
+        faults it drew when these values were recorded.  Each spec's
+        RNG is seeded by ``[seed, crc32(point), index]``; changing those
+        words silently changes every chaos replay."""
+        spec = mixed_workload_spec(scale=1)
+        spec["steps"] = 3
+        out = chaos_replay(build_workload(spec), capacity=32, seed=0,
+                           deadline_s=0.4)
+        assert out["outcome_counts"] == {"ok": 14, "deadline-degraded": 1}
+        assert out["faults_fired"] == {
+            "attack.step": {"latency": 6},
+            "dispatch.attack": {"error": 2},
+            "dispatch.predict": {"error": 1},
+            "dispatch.predict_float": {"error": 1},
+            "edge.plan.build": {"error": 1},
+            "queue.tick": {"latency": 6},
+        }
+        assert out["clock_s"] == pytest.approx(0.42)
+
 
 class TestDegradationLadder:
     def test_dispatch_fault_degrades_then_heals(self, pair):
@@ -251,6 +271,29 @@ class TestDeadlines:
         assert free.outcome == "ok"
         assert bounded.outcome == "deadline-degraded"
         assert session.dispatch_log[0].coalesced    # they shared the pass
+
+    def test_completion_wins_ties_at_the_deadline_boundary(self, pair):
+        """An injected queue latency pushes the clock past the drain
+        budget in the same round the head group was popped.  That round
+        still runs and its future resolves, while the job it did not
+        reach stays cleanly pending for a later drain."""
+        orig, _quant, x, _y = pair
+        other = build_model("resnet", num_classes=6, width=4, seed=9)
+        other.eval()
+        clock = ManualClock()
+        session = ServeSession(capacity=8, clock=clock)
+        f1 = session.submit_predict(orig, x[:2])
+        f2 = session.submit_predict(other, x[:2])
+        injector = FaultInjector(
+            [FaultSpec("queue.tick", "latency", rate=1.0, delay_s=1.0)],
+            seed=FAULT_SEED, clock=clock)
+        with inject(injector):
+            value = f1.result(timeout=0.5)     # budget < first tick
+        assert value is not None and f1.done and f1.outcome == "ok"
+        assert not f2.done                     # never reached: pending
+        assert len(session.scheduler.pending) == 1
+        assert f2.result() is not None         # a later drain serves it
+        assert f2.outcome == "ok"
 
 
 class TestAdmission:

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.attacks import CWLinf, DIVA, PGD, TargetedDIVA
 from repro.edge import compile_edge
 from repro.models import build_model
+from repro.nn import rowrep
 from repro.quantization import calibrate, prepare_qat
 from repro.serve import (JobError, PlanCache, Scheduler, ServeSession,
                          build_workload, mixed_workload_spec, plan_nbytes,
-                         verify_parity)
+                         replay_sequential, replay_serve, verify_parity)
 from repro.serve.scheduler import _group_key
 from repro.training import predict_labels
+from repro.training.evaluate import predict_logits
+
+from .conftest import mixed_job_menus, submit_job_menu
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +208,22 @@ class TestEvictionRebuildsValidate:
                                           ref_small)
         assert atk.plan_cache.stats["evictions"] >= 2
         assert atk.plan_cache.stats["rebuilds"] >= 1
+
+    def test_starved_budget_replay_evicts_and_stays_bit_identical(self):
+        """A plan-cache budget far below the workload's plans forces
+        evictions mid-replay; evicted plans rebuild and revalidate, so
+        every job still matches its solo run byte for byte."""
+        spec = mixed_workload_spec(scale=1)
+        spec["steps"] = 3
+        workload = build_workload(spec)
+        ref = replay_sequential(workload)["results"]
+        session = ServeSession(capacity=64, budget_bytes=20_000)
+        out = replay_serve(workload, session=session)
+        assert out["outcomes"] == ["ok"] * len(ref)
+        for a, b in zip(ref, out["results"]):
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes())
+        assert session.stats["plan_cache"]["evictions"] >= 1
 
 
 class TestScheduler:
@@ -465,6 +486,48 @@ class TestServeParity:
         keys = [k for k, _ in session.plan_cache.items()]
         assert len(keys) == 1
         assert session.plan_cache.stats["entries"] == len(keys)
+
+
+class TestPartitionProperty:
+    @given(menu=mixed_job_menus())
+    @settings(max_examples=8, deadline=None)
+    def test_every_job_dispatches_once_and_matches_solo(self, menu, pair,
+                                                        edge_model):
+        """Property: for any mixed job set, every job lands in exactly
+        one dispatch record, every solo record says why it ran solo, and
+        every future's bytes equal the job's solo run."""
+        orig, quant, x, y = pair
+        edge, x_edge = edge_model
+        session = ServeSession(capacity=16)
+        futs = submit_job_menu(session, menu, pair, edge, x_edge)
+        session.drain()
+        covered = sorted(s for r in session.dispatch_log for s in r.seqs)
+        assert covered == list(range(len(menu)))   # once each, none lost
+        solo = [r for r in session.dispatch_log if r.key[0] == "solo"]
+        assert all(r.reason for r in solo)         # solo => attributed
+        for (kind, rows), fut in zip(menu, futs):
+            if kind == "attack":
+                ref = PGD(quant, steps=2).generate(x[:rows], y[:rows])
+            elif kind == "predict":
+                ref = edge.predict(x_edge[:rows])
+            else:
+                with rowrep.row_reproducible():
+                    ref = predict_logits(orig, x[:rows])
+            got = fut.result()
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
+class TestWorkloadSpec:
+    @pytest.mark.parametrize("rows", [2.7, True, 0, -3, "4"])
+    def test_malformed_rows_fail_loudly(self, rows):
+        """``rows`` must be an int >= 1: a float used to be floored, a
+        bool read as 1 row, and 0 failed deep inside the first pass."""
+        spec = mixed_workload_spec(scale=1)
+        spec["jobs"][2]["rows"] = rows
+        with pytest.raises(ValueError, match="job 2") as err:
+            build_workload(spec)
+        assert repr(rows) in str(err.value)
 
 
 class TestBurstMemory:

@@ -26,7 +26,8 @@ to the classic one-batch-at-a-time loop.
 Subclasses compile their frozen models into replayable programs
 (:mod:`repro.nn.graph`) — DIVA-family attacks fuse the (original,
 adapted) pair into a :class:`~repro.attacks.engine.PairedExecutor` with
-shared scratch and one combined softmax-seeded backward — and fall back
+one combined softmax-seeded backward, its two programs running
+concurrently on large batches — and fall back
 to the eager tape whenever compilation is unsupported.  Compiled
 programs live in the attack's :class:`~repro.serve.PlanCache`
 (private by default; a :class:`~repro.serve.ServeSession` rebinds it to

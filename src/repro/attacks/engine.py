@@ -4,13 +4,15 @@ Three cooperating pieces turn the attack loop from "one model pass at a
 time, one configuration at a time" into a single scheduled computation:
 
 - :class:`PairedExecutor` — compiles the (original, adapted) model pair
-  into replayable programs that share one :class:`~repro.nn.graph.
-  ScratchPool` (im2col scratch, padded-input and backward-matmul
-  buffers are allocated once for the pair), replays both forwards on the
-  same batch, computes *one* combined softmax-seeded gradient for both
-  logit blocks, then runs both backwards and sums the input gradients.
-  DIVA's Eq. 5 step is thereby a single fused unit instead of two
-  independent ``value_and_input_grad`` calls.
+  into replayable programs, replays both forwards on the same batch,
+  computes *one* combined softmax-seeded gradient for both logit blocks,
+  then runs both backwards and sums the input gradients.  DIVA's Eq. 5
+  step is thereby a single fused unit instead of two independent
+  ``value_and_input_grad`` calls.  The two passes share nothing until
+  their gradients are summed, so on batches of at least
+  :data:`LANE_MIN_ROWS` rows they run in two lanes — the caller's thread
+  and one process-wide helper thread — each lane with its own
+  :class:`~repro.nn.graph.ScratchPool`.
 
 - :func:`run_scheduled` — the active-slot scheduler behind
   ``Attack.generate`` / ``Attack.generate_sweep``. Work items (sample,
@@ -35,6 +37,9 @@ time, one configuration at a time" into a single scheduled computation:
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,16 +49,53 @@ from ..nn.graph import ScratchPool, compile_forward_or_none
 #: variant keys interpreted by the scheduler itself (all attacks)
 SCHEDULER_KEYS = frozenset({"eps", "alpha", "keep_best"})
 
+#: smallest batch whose paired step runs its programs in two lanes.  On
+#: 2 CPUs (the float32 width-8 resnet pair, 16x16 inputs) the concurrent
+#: step ran at 0.6-0.8x the sequential one at 4-8 rows, where thread
+#: handoff and the GIL dominate, 0.9-1.3x at 16, 1.3-1.7x at 32 and
+#: 1.4-1.75x at 128.  Pinned to one CPU it stayed at 0.93-1.06x from 32
+#: to 128 rows, so no CPU-count check is needed.
+LANE_MIN_ROWS = 32
+
+_helper: Optional[ThreadPoolExecutor] = None
+_helper_pid: Optional[int] = None
+_helper_lock = threading.Lock()
+
+
+def _helper_lane() -> ThreadPoolExecutor:
+    """The process-wide one-thread executor that runs the odd-indexed
+    programs of every laned paired step (created on first use, and again
+    in a forked child, which does not inherit the thread)."""
+    global _helper, _helper_pid
+    with _helper_lock:
+        if _helper is None or _helper_pid != os.getpid():
+            _helper = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="paired-lane")
+            _helper_pid = os.getpid()
+        return _helper
+
+
+def _run_each(work: Callable[[int], None], indices: range) -> None:
+    for i in indices:
+        work(i)
+
 
 class PairedExecutor:
     """N compiled programs driven in lockstep over one input batch.
 
     Built for the two-model DIVA objective (hence the name), but any
-    number of frozen models over the same input works.  All programs
-    draw transient scratch from one shared pool; forwards run first so
-    the seed function sees every program's logits at once, then each
-    program's backward runs and the input gradients are summed in
-    place.
+    number of frozen models over the same input works.  Forwards run
+    first so the seed function sees every program's logits at once, then
+    each program's backward runs and the input gradients are summed in
+    place, in program order.
+
+    Program ``i`` belongs to lane ``i % 2``.  On batches of at least
+    :data:`LANE_MIN_ROWS` rows the caller's thread runs lane 0 while the
+    process-wide helper thread runs lane 1, forwards and backwards each;
+    smaller batches run every program on the caller's thread.  Each lane
+    draws transient scratch from its own :class:`ScratchPool`, so the
+    concurrent programs never share a buffer.  Every program computes
+    exactly what it computes alone, so the lanes do not change a bit.
     """
 
     def __init__(self, programs: Sequence):
@@ -62,12 +104,12 @@ class PairedExecutor:
     @classmethod
     def compile(cls, models: Sequence, example: np.ndarray
                 ) -> Optional["PairedExecutor"]:
-        """Compile every model against ``example`` with shared scratch;
-        None (eager fallback) unless all of them compile."""
-        pool = ScratchPool()
+        """Compile every model against ``example``, with one scratch pool
+        per lane; None (eager fallback) unless all of them compile."""
+        pools = (ScratchPool(), ScratchPool())
         programs = []
-        for model in models:
-            prog = compile_forward_or_none(model, example, pool=pool)
+        for i, model in enumerate(models):
+            prog = compile_forward_or_none(model, example, pool=pools[i % 2])
             if prog is None:
                 return None
             programs.append(prog)
@@ -93,17 +135,45 @@ class PairedExecutor:
         for both models).  The returned logits are buffer views valid
         until the next replay; the gradient is freshly owned.
         """
-        xs = [prog._check_input(x) for prog in self.programs]
-        outs = tuple(prog._forward(xc) for prog, xc in zip(self.programs, xs))
-        seeds = seeds_fn(outs)
-        gx: Optional[np.ndarray] = None
-        for prog, xc, seed in zip(self.programs, xs, seeds):
-            g = prog._backward_from_seed(np.asarray(seed), xc)
-            if gx is None:
-                gx = g                       # freshly owned by contract
-            else:
-                np.add(gx, g, out=gx)
-        return outs, gx
+        progs = self.programs
+        xs = [prog._check_input(x) for prog in progs]
+        outs: List[Optional[np.ndarray]] = [None] * len(progs)
+        grads: List[Optional[np.ndarray]] = [None] * len(progs)
+        seeds: Sequence[np.ndarray] = ()
+
+        def forward(i: int) -> None:
+            outs[i] = progs[i]._forward(xs[i])
+
+        def backward(i: int) -> None:
+            grads[i] = progs[i]._backward_from_seed(np.asarray(seeds[i]),
+                                                    xs[i])
+
+        run = (self._in_lanes if len(progs) > 1 and len(x) >= LANE_MIN_ROWS
+               else self._in_order)
+        run(forward)
+        seeds = seeds_fn(tuple(outs))
+        run(backward)
+        gx = grads[0]                        # freshly owned by contract
+        for g in grads[1:]:
+            np.add(gx, g, out=gx)
+        return tuple(outs), gx
+
+    def _in_order(self, work: Callable[[int], None]) -> None:
+        _run_each(work, range(len(self.programs)))
+
+    def _in_lanes(self, work: Callable[[int], None]) -> None:
+        """``work(i)`` for the odd ``i`` on the helper thread and the even
+        ones here.  The helper is joined before this returns or raises,
+        so no program is still running when the caller moves on; an
+        error on the caller's lane wins over one on the helper's."""
+        n = len(self.programs)
+        fut = _helper_lane().submit(_run_each, work, range(1, n, 2))
+        try:
+            _run_each(work, range(0, n, 2))
+        finally:
+            err = fut.exception()            # waits for the helper
+        if err is not None:
+            raise err
 
 
 def generate_grid(attacks: Dict[str, Any], x: np.ndarray, y: np.ndarray,

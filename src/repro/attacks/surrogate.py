@@ -14,8 +14,8 @@ transfers to the true pair.
 
 Both pipelines finish training their surrogates *before* the returned
 bundle's ``attack`` runs, so the DIVA instance fuses the (frozen) model
-pair into a shared-scratch :class:`~repro.attacks.engine.PairedExecutor`
-on its first gradient batch and steps at two fused model passes per
+pair into a :class:`~repro.attacks.engine.PairedExecutor` on its first
+gradient batch and steps at two fused model passes per
 iteration on the active-slot scheduler; the bundle's ``attack`` also
 exposes ``generate_sweep`` for (eps, c) grids over the surrogate pair.
 ``Attack.generate`` re-folds the compiled constants on every call, so

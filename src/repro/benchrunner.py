@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -78,6 +80,23 @@ def run_benches(root: Path, select: Optional[str], json_path: Path,
     if extra_args:
         cmd += extra_args
     return subprocess.run(cmd, cwd=root).returncode
+
+
+def bench_env() -> dict:
+    """The machine facts a throughput number depends on: CPU count (and
+    the CPUs this process may run on), the OpenBLAS thread setting
+    (None when unset, i.e. OpenBLAS's own default), numpy and python
+    versions."""
+    import numpy
+    affinity = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    return {
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": affinity,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "numpy": numpy.__version__,
+        "python": platform.python_version(),
+    }
 
 
 def summarize(raw: dict, sha: str) -> dict:
@@ -184,6 +203,7 @@ def summarize(raw: dict, sha: str) -> dict:
         "sha": sha,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "dtype": "float32",
+        "env": bench_env(),
         "kernels_median_ns": kernels,
         "attack": attack,
         "compiled_replay": replay,
@@ -222,6 +242,10 @@ def main(argv: Optional[list] = None) -> int:
     out = args.out or (root / f"BENCH_{sha}.json")
     out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
+    env = summary["env"]
+    print(f"  env {env['cpu_count']} CPUs ({env['affinity_cpus']} usable), "
+          f"OPENBLAS_NUM_THREADS={env['openblas_num_threads']}, "
+          f"numpy {env['numpy']}, python {env['python']}")
     if summary["attack"]:
         print(f"  DIVA {summary['attack']['diva_steps_per_sec']:.1f} steps/s, "
               f"PGD {summary['attack']['pgd_steps_per_sec']:.1f} steps/s")

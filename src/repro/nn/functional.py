@@ -1,9 +1,13 @@
 """Stateless differentiable operations: convolution, pooling, losses.
 
 Convolution uses im2col (stride-tricks window extraction + one matmul),
-which is the standard way to keep numpy convs fast; the col2im backward is
-a small loop over kernel taps only (kh*kw iterations), never over pixels.
-All tensors follow the NCHW layout.
+which is the standard way to keep numpy convs fast.  The input gradient
+of a dense stride-1 conv that does not widen its channels is a *gather*:
+one im2col of the fully padded output gradient times the flipped,
+transposed weight (:func:`_conv_dx_gathers`).  Every other conv scatters
+its window gradients back with a col2im that loops over kernel taps only
+(kh*kw iterations), never over pixels.  All tensors follow the NCHW
+layout.
 """
 
 from __future__ import annotations
@@ -144,6 +148,33 @@ def _col2im_flat(dcolsp: np.ndarray, x_shape: Tuple[int, ...], kh: int,
     if ph or pw:
         dx = dx[:, :, ph:ph + H, pw:pw + W]
     return dx
+
+
+def _conv_dx_gathers(C: int, F: int, groups: int, stride: Tuple[int, int],
+                     padding: Tuple[int, int],
+                     kernel: Tuple[int, int]) -> bool:
+    """Whether a conv's input gradient runs as a gather instead of the
+    col2im scatter.
+
+    For stride 1, ``dX`` is the valid correlation of ``dY`` padded by
+    ``k - 1 - p`` on each side with the flipped kernel, transposed to
+    (C, F): one im2col and one GEMM, no per-tap accumulation.  That
+    needs a non-negative pad (``p <= k - 1``), and it only pays when the
+    gradient is no wider than the input (``F <= C``): a widening stem
+    conv would im2col more channels than the scatter's matmul emits.
+    The choice is shape-deterministic, so the eager tape and the
+    compiled executor always take the same path.
+    """
+    return (groups == 1 and stride == (1, 1) and F <= C
+            and padding[0] <= kernel[0] - 1 and padding[1] <= kernel[1] - 1)
+
+
+def _conv_gather_wmat(w: np.ndarray) -> np.ndarray:
+    """(F, C, kh, kw) weight -> the gather backward's (C, F*kh*kw)
+    matrix: transposed to (C, F) and flipped in both spatial axes."""
+    F, C, kh, kw = w.shape
+    return np.ascontiguousarray(
+        w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, F * kh * kw)
 
 
 def _conv_dw_dense(g2: np.ndarray, cols2: np.ndarray) -> np.ndarray:
@@ -297,7 +328,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                     g2 = np.ascontiguousarray(g).reshape(N, F, oh * ow)
                     dw = _conv_dw_dense(g2, cols2)                       # (F, K)
                     weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
+                if x.requires_grad and _conv_dx_gathers(
+                        C, F, groups, (sh, sw), (ph, pw), (kh, kw)):
+                    qh, qw = kh - 1 - ph, kw - 1 - pw
+                    gp = np.zeros((N, F, oh + 2 * qh, ow + 2 * qw),
+                                  dtype=g.dtype)
+                    gp[:, :, qh:qh + oh, qw:qw + ow] = g
+                    gcols, _ = _im2col(gp, kh, kw, 1, 1, 0, 0)
+                    gK = np.ascontiguousarray(gcols).reshape(
+                        N, F * kh * kw, H * W)
+                    dx = np.matmul(_conv_gather_wmat(weight.data), gK)
+                    x._accumulate(dx.reshape(x_shape), owned=True)
+                elif x.requires_grad:
                     w2T = np.ascontiguousarray(weight.data.reshape(F, K).T)
                     # X-padded logits make every col2im tap a single
                     # contiguous shifted-slice add into its stride phase

@@ -58,7 +58,8 @@ from . import tensor as _tensor
 from .functional import (_col2im, _col2im_flat, _col2im_xpad,
                          _conv_dcols_grouped, _conv_depthwise_fwd,
                          _conv_dw_dense, _conv_dw_depthwise,
-                         _conv_dw_grouped, _conv_grouped_fwd, _im2col)
+                         _conv_dw_grouped, _conv_dx_gathers,
+                         _conv_gather_wmat, _conv_grouped_fwd, _im2col)
 from .module import Module
 from .tensor import Tensor, _unbroadcast, get_default_dtype
 
@@ -68,15 +69,18 @@ class GraphUnsupported(RuntimeError):
 
 
 class ScratchPool:
-    """Shared transient-buffer arena for a family of compiled programs.
+    """Transient-buffer arena for the compiled programs of one thread.
 
     Buffers whose contents die inside a single op closure (im2col
-    scratch, padded inputs, backward matmul outputs) are keyed by their
-    geometry, so the two programs of a (original, adapted) pair — and
-    same-shaped layers within one program — reuse one allocation
-    instead of each holding their own.  Buffers that outlive their op
-    (activation outputs, col2im accumulators referenced from the
-    gradient environment) must stay private and never go through here.
+    scratch, padded inputs, backward matmul outputs, the fake-quant
+    float64 round trip) are keyed by their geometry, so same-shaped
+    layers within one program — and programs that always run one after
+    another on the same thread — reuse one allocation instead of each
+    holding their own.  Programs that may run concurrently need a pool
+    each: the paired attack engine gives each of its two lanes its own.
+    Buffers that outlive their op (activation outputs, col2im
+    accumulators referenced from the gradient environment) must stay
+    private and never go through here.
     """
 
     def __init__(self):
@@ -368,19 +372,24 @@ class _Program:
     # -- buffers -------------------------------------------------------- #
     def _register_buf(self, key, per_sample_shape: Tuple[int, ...],
                       fill: Optional[float] = None,
-                      pool_key: Optional[Tuple] = None) -> None:
+                      pool_key: Optional[Tuple] = None,
+                      dtype=None) -> None:
         """``fill`` pre-fills the buffer once per allocation — used for
         padded-input buffers whose borders are constant (0 for conv,
         -inf for max-pool), so replays only write the interior.
 
         ``pool_key`` marks the buffer as *transient* (its contents die
         inside the registering op's closure): it is then drawn from the
-        shared :class:`ScratchPool`, deduplicating same-geometry scratch
-        across ops and across the programs sharing the pool.  Buffers
-        whose contents outlive the op (activation outputs, gradient
-        accumulators) must not set it.
+        program's :class:`ScratchPool`, deduplicating same-geometry
+        scratch across ops and across the programs sharing the pool.
+        Buffers whose contents outlive the op (activation outputs,
+        gradient accumulators) must not set it.
+
+        ``dtype`` defaults to the program's dtype.
         """
-        self._buf_shapes[key] = (tuple(per_sample_shape), fill, pool_key)
+        self._buf_shapes[key] = (tuple(per_sample_shape), fill, pool_key,
+                                 self._dtype if dtype is None
+                                 else np.dtype(dtype))
 
     def _slot(self, key, n: int) -> np.ndarray:
         return self._bufs[key][:n]
@@ -388,12 +397,12 @@ class _Program:
     def _ensure(self, n: int) -> None:
         if n <= self._alloc_n:
             return
-        for key, (shape, fill, pool_key) in self._buf_shapes.items():
+        for key, (shape, fill, pool_key, dtype) in self._buf_shapes.items():
             if pool_key is not None:
                 self._bufs[key] = self._pool.acquire(pool_key, n, shape,
-                                                     self._dtype, fill)
+                                                     dtype, fill)
                 continue
-            buf = np.empty((n,) + shape, dtype=self._dtype)
+            buf = np.empty((n,) + shape, dtype=dtype)
             if fill is not None:
                 buf.fill(fill)
             self._bufs[key] = buf
@@ -414,7 +423,7 @@ class _Program:
         for nid, t in self._leaves.items():
             env[nid] = t.data
         for ctx in self._ctx.values():
-            for key in ("wmat", "wmat_g", "w2", "w2T"):
+            for key in ("wmat", "wmat_g", "w2", "w2T", "wgather"):
                 ctx.pop(key, None)
         for op in self._const_ops:
             val = _eval_const(op, env)
@@ -1253,17 +1262,15 @@ def _f_fake_quant(prog, op):
     # int32, but round+clip already leaves exactly integral float64
     # values, so skipping the integer cast is bitwise-identical — while a
     # single scratch buffer replaces its eight temporaries.
-    prog._register_buf(("fq_scratch", op.out), op.out_shape[1:])
-    scratch_dtype = np.float64
-    prog._bufs[("fq64", op.out)] = None
+    # The float64 round trip is transient (copied out below), so it is
+    # pooled: every fake-quant op of one geometry shares one buffer.
+    shape = op.out_shape[1:]
+    prog._register_buf(("fq_scratch", op.out), shape)
+    prog._register_buf(("fq64", op.out), shape,
+                       pool_key=("fq64",) + tuple(shape), dtype=np.float64)
 
     def run(n, a=a, o=op.out, s=s, z=z, lo=qp.qmin, hi=qp.qmax):
-        t = prog._bufs.get(("fq64", o))
-        if t is None or len(t) < n:
-            t = np.empty((max(n, prog._alloc_n),) + op.out_shape[1:],
-                         dtype=scratch_dtype)
-            prog._bufs[("fq64", o)] = t
-        t = t[:n]
+        t = prog._slot(("fq64", o), n)
         np.divide(env[a], s, out=t)
         np.round(t, out=t)
         t += z
@@ -1314,14 +1321,20 @@ def _conv_wmats(prog, op, ctx) -> None:
     ``weight.reshape(F, K)`` matrix (and the transposed copy the
     backward matmul consumes) is built once per compile/refresh instead
     of per step — the same arrays the eager kernel builds, so the BLAS
-    calls stay bitwise-identical to the tape.
+    calls stay bitwise-identical to the tape.  Layers whose input
+    gradient gathers (see ``functional._conv_dx_gathers``) hold the
+    flipped, transposed weight instead of ``w2T``.
     """
     w = prog._env[op.inputs[1]]
     F, Cg, kh, kw = w.shape
     if op.attrs["groups"] == 1:
         w2 = np.ascontiguousarray(w.reshape(F, Cg * kh * kw))
         ctx["w2"] = w2
-        ctx["w2T"] = np.ascontiguousarray(w2.T)
+        if _conv_dx_gathers(Cg, F, 1, op.attrs["stride"],
+                            op.attrs["padding"], (kh, kw)):
+            ctx["wgather"] = _conv_gather_wmat(w)
+        else:
+            ctx["w2T"] = np.ascontiguousarray(w2.T)
     else:
         G = op.attrs["groups"]
         wmat_g = w.reshape(G, F // G, Cg * kh * kw)
@@ -1443,39 +1456,16 @@ def _b_conv2d(prog, op):
     sh, sw = op.attrs["stride"]
     ph, pw = op.attrs["padding"]
     groups = op.attrs["groups"]
-    _, C, H, W = op.in_shapes[0]
+    C = op.in_shapes[0][1]
     F, Cg, kh, kw = op.in_shapes[1]
     oh, ow = op.out_shape[2], op.out_shape[3]
-    ctx = prog._ctx[op.out]
-    # Tap-major X-padded backward (mirrors the eager kernel, all strides
-    # and groups): the producing matmul/einsum emits window rows with
-    # the stride-phase image's own pitch, so col2im collapses to one
-    # contiguous shifted-slice add per tap (see
-    # ``functional._col2im_flat``).  The accumulator is referenced from
-    # the gradient environment after this closure returns, so it stays
-    # private; the padded-gradient and window-row scratch are transient
-    # and pooled.
-    Xp = _col2im_xpad(W, pw, sw)
-    QX = oh * Xp
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    Hq = -(-Hp // sh)
-    phases = sh * sw
-    prog._register_buf(("conv_gpad", op.out), (F, oh, Xp), fill=0.0,
-                       pool_key=("conv_gpad", F, oh, Xp))
-    prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp))
-    if phases > 1:
-        prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp))
-
-    def flat_col2im(dcolsp, n, o=op.out):
-        dxi = (prog._slot(("conv_dxi", o), n) if phases > 1 else None)
-        return _col2im_flat(dcolsp.reshape(n, C, kh, kw, QX),
-                            (n, C, H, W), kh, kw, sh, sw, ph, pw, oh, ow,
-                            out=prog._slot(("conv_dx", o), n), dx_out=dxi)
+    if _conv_dx_gathers(C, F, groups, (sh, sw), (ph, pw), (kh, kw)):
+        input_grad = _conv_gather_dx(prog, op)
+    else:
+        input_grad = _conv_scatter_dx(prog, op)
 
     if groups == 1:
         K = C * kh * kw
-        prog._register_buf(("conv_dcols", op.out), (K, QX),
-                           pool_key=("conv_dcols", K, QX))
         # same shape gate as the eager _conv_dw_dense, with the batched
         # product landing in pooled scratch (bitwise-identical GEMMs)
         dw_bm = (oh * ow) * 4 >= K
@@ -1498,24 +1488,17 @@ def _b_conv2d(prog, op):
                     dw = _conv_dw_dense(g2, cols2)
                 _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
             if x_id in var:
-                g2p = prog._slot(("conv_gpad", o), n)
-                np.copyto(g2p[..., :ow], g)
-                dcolsp = prog._slot(("conv_dcols", o), n)
-                np.matmul(ctx["w2T"], g2p.reshape(n, F, QX), out=dcolsp)
-                _gacc(genv, gowned, x_id, flat_col2im(dcolsp, n), False)
+                _gacc(genv, gowned, x_id, input_grad(g, n), False)
     else:
         G = groups
         Fg = F // G
         K = Cg * kh * kw
         dwise = Cg == 1 and F == G
-        prog._register_buf(("conv_gdcols", op.out), (G, K, QX),
-                           pool_key=("conv_gdcols", G, K, QX))
 
         def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
                 o=op.out):
             if b_id is not None and b_id in var:
                 _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
-            gg = g.reshape(n, G, Fg, oh, ow)
             if w_id in var:
                 cols2 = prog._slot(("conv_cols", o), n)
                 if dwise:
@@ -1523,16 +1506,102 @@ def _b_conv2d(prog, op):
                     dw = _conv_dw_depthwise(
                         cols2.reshape(n, C, K, oh * ow), g2)
                 else:
-                    dw = _conv_dw_grouped(gg, cols2)
+                    dw = _conv_dw_grouped(g.reshape(n, G, Fg, oh, ow),
+                                          cols2)
                 _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
             if x_id in var:
-                ggp = prog._slot(("conv_gpad", o), n)
-                np.copyto(ggp.reshape(n, G, Fg, oh, Xp)[..., :ow], gg)
-                dcolsp = prog._slot(("conv_gdcols", o), n)
-                _conv_dcols_grouped(ggp.reshape(n, G, Fg, QX),
-                                    ctx["wmat_g"], out=dcolsp)
-                _gacc(genv, gowned, x_id, flat_col2im(dcolsp, n), False)
+                _gacc(genv, gowned, x_id, input_grad(g, n), False)
     return run
+
+
+def _conv_gather_dx(prog, op) -> Callable:
+    """Gather input gradient of a dense stride-1 conv (mirrors the eager
+    kernel): im2col of ``dY`` padded by ``k - 1 - p`` times the flipped,
+    transposed weight.  The padded gradient and its windows are transient
+    and drawn from the same pool entries as a forward of that geometry
+    (``conv_pad`` / ``conv_cols``), so a channel-preserving layer's
+    backward adds no transient scratch of its own.  The (C, H*W) result
+    is referenced from the gradient environment after the closure
+    returns, so it stays private."""
+    _, C, H, W = op.in_shapes[0]
+    F, _, kh, kw = op.in_shapes[1]
+    ph, pw = op.attrs["padding"]
+    oh, ow = op.out_shape[2], op.out_shape[3]
+    qh, qw = kh - 1 - ph, kw - 1 - pw
+    ctx = prog._ctx[op.out]
+    if qh or qw:
+        prog._register_buf(("conv_gin", op.out),
+                           (F, oh + 2 * qh, ow + 2 * qw), fill=0.0,
+                           pool_key=("conv_pad", F, oh, ow, qh, qw))
+    K = F * kh * kw
+    prog._register_buf(("conv_gcols", op.out), (K, H * W),
+                       pool_key=("conv_cols", K, H * W))
+    prog._register_buf(("conv_gdx", op.out), (C, H * W))
+
+    def input_grad(g, n, o=op.out):
+        if qh or qw:
+            gp = prog._slot(("conv_gin", o), n)
+            gp[:, :, qh:qh + oh, qw:qw + ow] = g
+        else:
+            gp = g
+        cols, _ = _im2col(gp, kh, kw, 1, 1, 0, 0)
+        scratch = prog._slot(("conv_gcols", o), n)
+        np.copyto(scratch.reshape(n, F, kh, kw, H, W), cols)
+        dx = prog._slot(("conv_gdx", o), n)
+        np.matmul(ctx["wgather"], scratch, out=dx)
+        return dx.reshape(n, C, H, W)
+    return input_grad
+
+
+def _conv_scatter_dx(prog, op) -> Callable:
+    """Scatter input gradient (mirrors the eager kernel, all strides and
+    groups): the producing matmul/einsum emits tap-major window rows
+    X-padded to the stride-phase image's own pitch, so col2im collapses
+    to one contiguous shifted-slice add per tap (see
+    ``functional._col2im_flat``).  The accumulator is referenced from
+    the gradient environment after the closure returns, so it stays
+    private; the padded-gradient and window-row scratch are transient
+    and pooled."""
+    sh, sw = op.attrs["stride"]
+    ph, pw = op.attrs["padding"]
+    G = op.attrs["groups"]
+    _, C, H, W = op.in_shapes[0]
+    F, Cg, kh, kw = op.in_shapes[1]
+    oh, ow = op.out_shape[2], op.out_shape[3]
+    ctx = prog._ctx[op.out]
+    Xp = _col2im_xpad(W, pw, sw)
+    QX = oh * Xp
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    Hq = -(-Hp // sh)
+    phases = sh * sw
+    prog._register_buf(("conv_gpad", op.out), (F, oh, Xp), fill=0.0,
+                       pool_key=("conv_gpad", F, oh, Xp))
+    prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp))
+    if phases > 1:
+        prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp))
+    K = Cg * kh * kw
+    if G == 1:
+        prog._register_buf(("conv_dcols", op.out), (K, QX),
+                           pool_key=("conv_dcols", K, QX))
+    else:
+        prog._register_buf(("conv_gdcols", op.out), (G, K, QX),
+                           pool_key=("conv_gdcols", G, K, QX))
+
+    def input_grad(g, n, o=op.out):
+        ggp = prog._slot(("conv_gpad", o), n)
+        np.copyto(ggp[..., :ow], g)
+        if G == 1:
+            dcolsp = prog._slot(("conv_dcols", o), n)
+            np.matmul(ctx["w2T"], ggp.reshape(n, F, QX), out=dcolsp)
+        else:
+            dcolsp = prog._slot(("conv_gdcols", o), n)
+            _conv_dcols_grouped(ggp.reshape(n, G, F // G, QX),
+                                ctx["wmat_g"], out=dcolsp)
+        dxi = (prog._slot(("conv_dxi", o), n) if phases > 1 else None)
+        return _col2im_flat(dcolsp.reshape(n, C, kh, kw, QX),
+                            (n, C, H, W), kh, kw, sh, sw, ph, pw, oh, ow,
+                            out=prog._slot(("conv_dx", o), n), dx_out=dxi)
+    return input_grad
 
 
 # ---- pooling ---------------------------------------------------------- #

@@ -150,15 +150,118 @@ class TestPairedExecutor:
         np.testing.assert_array_equal(za, za_ref)
         np.testing.assert_array_equal(g, go + ga)
 
-    def test_paired_shares_scratch_pool(self, pair_setup):
+    def test_paired_lanes_own_their_scratch(self, pair_setup):
+        """The two programs run concurrently on large batches, so each
+        lane draws from its own pool; within a program, a same-geometry
+        conv's gather backward reuses its forward's im2col entry."""
         orig, quant, atk = pair_setup
         pe = PairedExecutor.compile((orig, quant), atk.x[:4])
-        pools = {id(prog._pool) for prog in pe.programs}
-        assert len(pools) == 1
+        assert pe.programs[0]._pool is not pe.programs[1]._pool
         pe.replay(atk.x[:4])
-        # conv scratch got pooled (same-geometry layers deduplicate)
-        pool = pe.programs[0]._pool
-        assert any(key[0][0] == "conv_cols" for key in pool._bufs)
+        for prog in pe.programs:
+            gathers = [key[1] for key in prog._bufs
+                       if isinstance(key, tuple) and key[0] == "conv_gcols"]
+            assert gathers
+            assert any(prog._bufs[("conv_gcols", o)]
+                       is prog._bufs[("conv_cols", o)] for o in gathers)
+            assert any(key[0][0] == "conv_cols" for key in prog._pool._bufs)
+
+    @staticmethod
+    def _lane_case(pair_setup, rows):
+        orig, quant, atk = pair_setup
+        rng = np.random.default_rng(rows)
+        x = rng.random((rows,) + atk.x.shape[1:])
+        y = rng.integers(0, 6, rows)
+        pe = PairedExecutor.compile((orig, quant), x[:8])
+        diva = DIVA(orig, quant, c=1.0)
+        return pe, x, lambda zs: diva._paired_seeds(zs, y, 1.0)
+
+    @pytest.mark.parametrize("rows,laned", [(128, True), (16, False)])
+    def test_lanes_match_programs_run_alone(self, pair_setup, rows, laned):
+        """Concurrent (128 rows) and sequential (16 rows) paired steps
+        return exactly the bytes of each program run alone, with the
+        gradients summed in program order."""
+        import threading
+
+        from repro.attacks.engine import LANE_MIN_ROWS
+        assert (rows >= LANE_MIN_ROWS) == laned
+        pe, x, seeds_fn = self._lane_case(pair_setup, rows)
+        p0, p1 = pe.programs
+        threads = []
+        forward = p1._forward
+
+        def spy(xc):
+            threads.append(threading.get_ident())
+            return forward(xc)
+
+        p1._forward = spy
+        (z0, z1), g = pe.value_and_input_grad(x, seeds_fn)
+        z0, z1, g = z0.copy(), z1.copy(), g.copy()
+        del p1._forward
+        assert (threads[0] != threading.get_ident()) == laned
+
+        xc = p0._check_input(x)
+        o0 = p0._forward(xc).copy()
+        o1 = p1._forward(xc).copy()
+        s0, s1 = seeds_fn((o0, o1))
+        g0 = p0._backward_from_seed(np.asarray(s0), xc)
+        g1 = p1._backward_from_seed(np.asarray(s1), xc)
+        assert z0.tobytes() == o0.tobytes()
+        assert z1.tobytes() == o1.tobytes()
+        assert g.tobytes() == (g0 + g1).tobytes()
+
+    @pytest.mark.parametrize("method", ["_forward", "_backward_from_seed"])
+    def test_helper_lane_error_propagates(self, pair_setup, method):
+        """An error on the helper's lane reaches the caller (after the
+        helper is joined), and the executor replays correctly after."""
+        pe, x, seeds_fn = self._lane_case(pair_setup, 128)
+        (_, _), ref = pe.value_and_input_grad(x, seeds_fn)
+        ref = ref.copy()
+        helper_prog = pe.programs[1]
+
+        def boom(*args):
+            raise RuntimeError("helper lane failed")
+
+        setattr(helper_prog, method, boom)
+        with pytest.raises(RuntimeError, match="helper lane failed"):
+            pe.value_and_input_grad(x, seeds_fn)
+        delattr(helper_prog, method)
+        (_, _), g = pe.value_and_input_grad(x, seeds_fn)
+        assert g.tobytes() == ref.tobytes()
+
+    def test_concurrent_callers_share_the_helper_lane(self, pair_setup):
+        """More callers than CPUs, each with its own executor, queue on
+        the one helper thread under a short switch interval; every step
+        still returns its sequential bytes."""
+        import sys
+        import threading
+
+        cases = [self._lane_case(pair_setup, 32 + i) for i in range(4)]
+        refs = []
+        for pe, x, seeds_fn in cases:
+            (_, _), g = pe.value_and_input_grad(x, seeds_fn)
+            refs.append(g.tobytes())
+        got = [[] for _ in cases]
+
+        def caller(i):
+            pe, x, seeds_fn = cases[i]
+            for _ in range(5):
+                (_, _), g = pe.value_and_input_grad(x, seeds_fn)
+                got[i].append(g.tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[ref] * 5 for ref in refs]
 
     def test_compile_fallback_is_none(self):
         class Opaque:

@@ -3,6 +3,7 @@ behaviour, and the attack loop's model-pass accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.attacks import DIVA, PGD
 from repro.models import build_model
@@ -199,6 +200,57 @@ class TestNewKernels:
 
         with pytest.raises(GraphUnsupported):
             compile_forward(BadStack(), np.random.default_rng(0).random((2, 1, 4, 4)))
+
+
+#: stride-1 dense conv geometries: channel counts either side of the
+#: gather gate (F <= C gathers, F > C scatters), every non-negative
+#: gather pad, and both float dtypes
+conv_geometries = st.tuples(
+    st.integers(1, 12), st.integers(1, 12),
+    st.sampled_from([1, 3, 5]), st.integers(0, 4),
+    st.integers(3, 9), st.integers(3, 9),
+    st.sampled_from(["float32", "float64"]), st.integers(0, 2 ** 16))
+
+
+class TestConvGatherParity:
+    """Generated geometries for the stride-1 conv input gradient: the
+    compiled program must reproduce the eager tape bit for bit, and the
+    gather must agree with the col2im scatter formula to rounding."""
+
+    @given(conv_geometries)
+    @example((8, 8, 3, 1, 9, 9, "float32", 0))        # F == C
+    @example((5, 6, 3, 1, 4, 7, "float32", 1))        # F == C + 1
+    @example((4, 5, 5, 4, 3, 3, "float64", 2))        # F == C + 1, p = k - 1
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_compiled_equals_eager_and_scatter(self, geometry):
+        from repro.nn import functional as F_
+        from repro.nn.tensor import set_default_dtype
+        C, F, k, pad, H, W, dtype, seed = geometry
+        pad = min(pad, k - 1)
+        assume(H + 2 * pad >= k and W + 2 * pad >= k)
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, C, H, W)).astype(dtype)
+        w = Tensor(rng.standard_normal((F, C, k, k)).astype(dtype))
+        b = Tensor(rng.standard_normal(F).astype(dtype))
+
+        def conv(t):
+            return F_.conv2d(t, w, b, padding=pad)
+
+        xt = Tensor(x, requires_grad=True)
+        out = conv(xt)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        _, gx = compile_forward(conv, x).value_and_input_grad(x, g)
+        assert gx.dtype == xt.grad.dtype == np.dtype(dtype)
+        assert gx.tobytes() == xt.grad.tobytes()
+
+        oh, ow = out.shape[2:]
+        dcols = np.matmul(w.data.reshape(F, -1).T, g.reshape(2, F, oh * ow))
+        scatter = F_._col2im(dcols.reshape(2, C, k, k, oh, ow), x.shape,
+                             k, k, 1, 1, pad, pad)
+        tol = 1e-4 if dtype == "float32" else 1e-10
+        np.testing.assert_allclose(xt.grad, scatter, rtol=tol, atol=tol)
 
 
 class TestFallback:

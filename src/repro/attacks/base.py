@@ -161,8 +161,12 @@ class Attack:
     def __init__(self, eps: float = DEFAULT_EPS, alpha: float = DEFAULT_ALPHA,
                  steps: int = DEFAULT_STEPS, random_start: bool = False,
                  keep_best: bool = True, seed: int = 0):
-        if eps <= 0 or alpha <= 0 or steps < 1:
-            raise ValueError("eps/alpha must be positive and steps >= 1")
+        # NaN compares false against every bound, so test the good range
+        if not (0 < eps < np.inf and 0 < alpha < np.inf):
+            raise ValueError("eps/alpha must be positive and finite")
+        if (isinstance(steps, (bool, np.bool_))
+                or not float(steps).is_integer() or steps < 1):
+            raise ValueError("steps must be an integer >= 1")
         self.eps = float(eps)
         self.alpha = float(alpha)
         self.steps = int(steps)
@@ -329,82 +333,35 @@ class Attack:
         stepped = adv_rows + alpha * np.sign(g_rows)
         return project_linf(stepped, x_rows, eps).astype(x_rows.dtype)
 
-    def _run_plain(self, xb: np.ndarray, yb: np.ndarray, adv: np.ndarray,
-                   snaps: Optional[List[np.ndarray]],
-                   deadline=None, row0: int = 0) -> np.ndarray:
-        """Fixed-step loop (full-batch state attacks with keep_best off).
+    def _run_full_batch(self, xb: np.ndarray, yb: np.ndarray,
+                        adv: np.ndarray, snaps: Optional[List[np.ndarray]],
+                        deadline=None, row0: int = 0) -> np.ndarray:
+        """Per-batch loop of attacks with full-batch gradient state
+        (``shrink_done = False``): every pass steps every row, so
+        momentum velocity and NES noise draws keep the batch's shape.
 
-        Deadline-expired rows are *frozen*, not dropped: the batch keeps
-        its composition so full-batch gradient state (momentum velocity,
-        NES RNG draws) is untouched for every other row — value
-        neutrality is the serving layer's core contract.  A frozen row's
-        held iterate is its best-so-far result.
-        """
-        stopped = (np.zeros(len(xb), dtype=bool)
-                   if deadline is not None else None)
-        held: Optional[np.ndarray] = None
-        for t in range(self.steps):
-            if stopped is not None and not stopped.all():
-                live = np.flatnonzero(~stopped)
-                exp = np.asarray(deadline.poll(row0 + live), dtype=bool)
-                if exp.any():
-                    newly = live[exp]
-                    if held is None:
-                        held = np.empty_like(adv)
-                    held[newly] = adv[newly]
-                    stopped[newly] = True
-                    deadline.expire(row0 + newly, t)
-            if stopped is not None and stopped.all() and snaps is None:
-                break
-            g, _ = self.gradient_with_logits(adv, yb)
-            adv = self._step(adv, xb, g)
-            if snaps is not None:
-                snaps.append(adv)
-        if held is not None:
-            shape = (-1,) + (1,) * (adv.ndim - 1)
-            return np.where(stopped.reshape(shape), held, adv)
-        return adv
+        With ``keep_best``, iterate ``adv_t`` is checked with the logits
+        of the gradient pass that starts iteration ``t`` (the pass
+        needed to produce ``adv_{t+1}`` anyway); the final iterate is
+        returned *unchecked*, because a success there cannot change the
+        returned bytes — the row would retire holding exactly that
+        iterate.  This keeps the done-mask semantics (and the pass
+        count: at most ``steps`` per row) identical to
+        :func:`~repro.attacks.engine.run_scheduled`.  Without
+        ``keep_best`` no success check runs.
 
-    def _run_keep_best(self, xb: np.ndarray, yb: np.ndarray, adv: np.ndarray,
-                       snaps: Optional[List[np.ndarray]],
-                       deadline=None, row0: int = 0) -> np.ndarray:
-        """Keep-best loop with shifted success checks.
-
-        Iterate ``adv_t`` is checked with the logits of the gradient pass
-        that starts iteration ``t`` (the pass needed to produce
-        ``adv_{t+1}`` anyway); the final iterate is returned *unchecked*,
-        because a success there cannot change the returned bytes — the
-        row would retire holding exactly that iterate.  This keeps the
-        done-mask semantics (and the pass count: exactly ``steps`` per
-        row) identical to :func:`~repro.attacks.engine.run_scheduled`;
-        historically this loop paid one trailing success forward, which
-        made single-step keep-best runs (FGSM-as-PGD(steps=1)) cost two
-        passes here and one there.  The
-        sequence of checked iterates — and every produced sample — is
-        identical to checking right after each step.
-
-        Deadline-expired rows reuse the held/done machinery: they freeze
-        at their current iterate (best-so-far) without leaving the
-        batch, so full-batch gradient state stays untouched for the
-        surviving rows.  Rows already done (a genuine success) are never
-        polled — completion always wins over expiry.
+        Deadline-expired rows freeze at their current iterate
+        (best-so-far) without leaving the batch.  Rows already done (a
+        genuine success) are never polled — completion always wins over
+        expiry.  Once every row is done or expired no later pass can
+        change the result, so the loop stops there and pads the trace
+        with the frozen iterate.
         """
         held = adv.copy()
         done = np.zeros(len(xb), dtype=bool)
 
         def merged() -> np.ndarray:
             return np.where(done[:, None, None, None], held, adv)
-
-        def check(active: np.ndarray, aux: Any) -> Optional[np.ndarray]:
-            """Update held/done for adv[active]; returns the mask (or None)."""
-            mask = self._success_mask(aux, adv[active], yb[active])
-            if mask is not None:
-                # only first successes count: rows already done keep the
-                # iterate that first satisfied the criterion
-                newly = active[mask & ~done[active]]
-                held[newly] = adv[newly]
-                done[newly] = True
-            return mask
 
         for t in range(self.steps):
             if deadline is not None:
@@ -416,25 +373,25 @@ class Attack:
                         held[newly] = adv[newly]
                         done[newly] = True
                         deadline.expire(row0 + newly, t)
-            active = np.flatnonzero(~done) if self.shrink_done else \
-                np.arange(len(xb))
-            if active.size == 0:
-                if snaps is not None:
-                    frozen = merged()
-                    while len(snaps) < self.steps:
-                        snaps.append(frozen)
-                return merged()
-            g, aux = self.gradient_with_logits(adv[active], yb[active])
+            if done.all():
+                break
+            g, aux = self.gradient_with_logits(adv, yb)
             if t > 0:
-                mask = check(active, aux)
+                mask = (self._success_mask(aux, adv, yb)
+                        if self.keep_best else None)
+                if mask is not None:
+                    # only first successes count: rows already done keep
+                    # the iterate that first satisfied the criterion
+                    newly = mask & ~done
+                    held[newly] = adv[newly]
+                    done[newly] = True
                 if snaps is not None:
                     snaps.append(merged())
-                if mask is not None and self.shrink_done:
-                    active, g = active[~mask], g[~mask]
-            if active.size:
-                adv[active] = self._step(adv[active], xb[active], g)
+            adv = self._step(adv, xb, g)
         if snaps is not None:
-            snaps.append(merged())
+            frozen = merged()
+            while len(snaps) < self.steps:
+                snaps.append(frozen)
         return merged()
 
     def generate(self, x: np.ndarray, y: np.ndarray,
@@ -484,13 +441,8 @@ class Attack:
             yb = y[start:start + batch_size]
             adv = self._init(xb)
             snaps_b: Optional[List[np.ndarray]] = [] if trace is not None else None
-            if self.keep_best:
-                final = self._run_keep_best(xb, yb, adv, snaps_b,
-                                            deadline=deadline, row0=start)
-            else:
-                final = self._run_plain(xb, yb, adv, snaps_b,
-                                        deadline=deadline, row0=start)
-            outs.append(final)
+            outs.append(self._run_full_batch(xb, yb, adv, snaps_b,
+                                             deadline=deadline, row0=start))
             if trace is not None:
                 for t in range(self.steps):
                     step_snaps[t].append(snaps_b[t])

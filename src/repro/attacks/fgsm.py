@@ -8,7 +8,7 @@ traces, and fall back to the eager tape (bit-identical to the historic
 per-batch implementation) when it does not.  A single-step keep-best-off run pays
 exactly one gradient pass per row either way — the engine's done-mask
 semantics for rows succeeding on step 0 match ``generate``'s
-(no trailing success forward; see ``Attack._run_keep_best``).
+(no trailing success forward; see ``Attack._run_full_batch``).
 """
 
 from __future__ import annotations

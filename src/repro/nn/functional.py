@@ -8,6 +8,10 @@ transposed weight (:func:`_conv_dx_gathers`).  Every other conv scatters
 its window gradients back with a col2im that loops over kernel taps only
 (kh*kw iterations), never over pixels.  All tensors follow the NCHW
 layout.
+
+The conv and pooling kernels below are the only copy of that math: the
+eager ops call them with no buffers, and the compiled executor
+(:mod:`repro.nn.graph`) passes its pooled scratch and output buffers in.
 """
 
 from __future__ import annotations
@@ -150,6 +154,20 @@ def _col2im_flat(dcolsp: np.ndarray, x_shape: Tuple[int, ...], kh: int,
     return dx
 
 
+def _pad2d(x: np.ndarray, ph: int, pw: int, fill: float = 0.0,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """NCHW ``x`` with constant ``fill`` borders of (ph, pw); ``x`` itself
+    when there is no padding.  ``out`` is a buffer whose borders already
+    hold ``fill``: only its interior is written."""
+    if not (ph or pw):
+        return x
+    N, C, H, W = x.shape
+    if out is None:
+        out = np.full((N, C, H + 2 * ph, W + 2 * pw), fill, dtype=x.dtype)
+    out[:, :, ph:ph + H, pw:pw + W] = x
+    return out
+
+
 def _conv_dx_gathers(C: int, F: int, groups: int, stride: Tuple[int, int],
                      padding: Tuple[int, int],
                      kernel: Tuple[int, int]) -> bool:
@@ -162,97 +180,262 @@ def _conv_dx_gathers(C: int, F: int, groups: int, stride: Tuple[int, int],
     needs a non-negative pad (``p <= k - 1``), and it only pays when the
     gradient is no wider than the input (``F <= C``): a widening stem
     conv would im2col more channels than the scatter's matmul emits.
-    The choice is shape-deterministic, so the eager tape and the
-    compiled executor always take the same path.
     """
     return (groups == 1 and stride == (1, 1) and F <= C
             and padding[0] <= kernel[0] - 1 and padding[1] <= kernel[1] - 1)
 
 
-def _conv_gather_wmat(w: np.ndarray) -> np.ndarray:
-    """(F, C, kh, kw) weight -> the gather backward's (C, F*kh*kw)
-    matrix: transposed to (C, F) and flipped in both spatial axes."""
-    F, C, kh, kw = w.shape
-    return np.ascontiguousarray(
-        w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(C, F * kh * kw)
+def _conv_dw_bm(P: int, K: int) -> bool:
+    """Whether a dense conv's weight gradient runs as the copy-free
+    batched matmul (wide spatial extent ``P``) rather than tensordot's
+    single large GEMM (contraction ``K`` dwarfing the batch axis)."""
+    return P * 4 >= K
 
 
-def _conv_dw_dense(g2: np.ndarray, cols2: np.ndarray) -> np.ndarray:
-    """Dense-conv weight gradient ``dw[f,k] = sum_n,p g2[n,f,p]*cols2[n,k,p]``.
+def _conv_fwd_wmat(w: np.ndarray, groups: int) -> np.ndarray:
+    """(F, C/G, kh, kw) weight -> the forward contraction's matrix:
+    (F, K) dense, (G, F/G, K) grouped."""
+    F, Cg, kh, kw = w.shape
+    if groups == 1:
+        return np.ascontiguousarray(w.reshape(F, Cg * kh * kw))
+    return w.reshape(groups, F // groups, Cg * kh * kw)
 
-    Two formulations with identical results up to summation order, chosen
-    deterministically by shape (so the eager tape and the compiled
-    executor always agree bit-for-bit): wide spatial extents run the
-    copy-free batched matmul; deep/narrow layers run tensordot's single
-    large GEMM, which wins when the contraction dwarfs the batch axis.
+
+def _conv_dx_wmat(w: np.ndarray, groups: int, stride: Tuple[int, int],
+                  padding: Tuple[int, int]) -> np.ndarray:
+    """(F, C/G, kh, kw) weight -> the input gradient's matrix: for a
+    gather (:func:`_conv_dx_gathers`) the (C, F*kh*kw) weight transposed
+    to (C, F) and flipped in both spatial axes; for a dense scatter the
+    (K, F) transpose; for a grouped scatter the (G, F/G, K) forward
+    layout."""
+    F, Cg, kh, kw = w.shape
+    if groups != 1:
+        return _conv_fwd_wmat(w, groups)
+    if _conv_dx_gathers(Cg, F, 1, stride, padding, (kh, kw)):
+        return np.ascontiguousarray(
+            w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(Cg, F * kh * kw)
+    return np.ascontiguousarray(w.reshape(F, Cg * kh * kw).T)
+
+
+def _conv_forward(x: np.ndarray, wmat: np.ndarray, kernel: Tuple[int, int],
+                  stride: Tuple[int, int], padding: Tuple[int, int],
+                  groups: int, bias: Optional[np.ndarray] = None,
+                  xpad: Optional[np.ndarray] = None,
+                  cols: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Conv forward: returns the (N, F, OH, OW) output and the window
+    scratch the weight gradient reads back.
+
+    Dense and depthwise convs keep the windows tap-major — the im2col
+    view (N, C, kh, kw, OH, OW) copies straight into (N, C*kh*kw, P)
+    scratch — so dense is one (F, K) @ (N, K, P) matmul writing NCHW
+    output with no transposes, and depthwise a batched matvec.  General
+    grouped convs lay the windows out (N, G, OH, OW, C/G*kh*kw) for an
+    einsum (a batched matvec when each group has one output).
+
+    ``xpad`` (borders pre-zeroed), ``cols`` and ``out`` are optional
+    buffers of those shapes; each one omitted is allocated.
     """
-    N, F, P = g2.shape
-    K = cols2.shape[1]
-    if P * 4 >= K:
-        return np.matmul(g2, cols2.transpose(0, 2, 1)).sum(axis=0)
-    return np.tensordot(g2, cols2, axes=([0, 2], [0, 2]))
-
-
-def _conv_grouped_fwd(cols2: np.ndarray, wmat: np.ndarray,
-                      out: np.ndarray) -> np.ndarray:
-    """Grouped-conv forward contraction into ``out`` (N, G, Fg, oh, ow).
-
-    Depthwise layers (Fg == 1) run a batched matvec — roughly 3x the
-    einsum's speed on the MobileNet hot shapes; general grouped layers
-    keep the einsum.  The choice is shape-deterministic, so the eager
-    tape and the compiled executor always take the same path.
-    """
-    N, G, oh, ow, K = cols2.shape
-    Fg = wmat.shape[1]
-    if Fg == 1:
-        np.matmul(cols2.reshape(N, G, oh * ow, K),
-                  wmat.reshape(1, G, K, 1),
-                  out=out.reshape(N, G, oh * ow, 1))
-        return out
-    np.einsum("ngxyk,gfk->ngfxy", cols2, wmat, out=out, optimize=True)
-    return out
-
-
-def _conv_dw_grouped(gg: np.ndarray, cols2: np.ndarray) -> np.ndarray:
-    """Grouped-conv weight gradient: (N,G,Fg,oh,ow) x (N,G,oh,ow,K) ->
-    (G, Fg, K); batched matvec for depthwise, einsum otherwise."""
-    N, G, Fg, oh, ow = gg.shape
-    K = cols2.shape[-1]
-    if Fg == 1:
-        return np.matmul(gg.reshape(N, G, 1, oh * ow),
-                         cols2.reshape(N, G, oh * ow, K)).sum(axis=0)
-    return np.einsum("ngfxy,ngxyk->gfk", gg, cols2, optimize=True)
-
-
-def _conv_depthwise_fwd(colsK: np.ndarray, wmat: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Depthwise forward on tap-major windows: (N,C,K,P) x (C,K) ->
-    (N,C,1,P).  Tap-major means the im2col view copies straight into the
-    scratch (no per-group transpose materialization)."""
-    N, C, K, P = colsK.shape
-    return np.matmul(wmat.reshape(1, C, 1, K), colsK, out=out)
-
-
-def _conv_dw_depthwise(colsK: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Depthwise weight gradient on tap-major windows: (N,C,K,P) x
-    (N,C,P) -> (C, K)."""
-    N, C, K, P = colsK.shape
-    return np.matmul(colsK, g2.reshape(N, C, P, 1)).sum(axis=0).reshape(C, K)
-
-
-def _conv_dcols_grouped(ggp: np.ndarray, wmat: np.ndarray,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Grouped-conv input-gradient window rows: (N,G,Fg,Q) x (G,Fg,K) ->
-    (N,G,K,Q) in tap-major order.  Depthwise has no contraction at all —
-    a broadcast multiply emits the exact same products as the einsum."""
-    N, G, Fg, Q = ggp.shape
-    K = wmat.shape[-1]
-    if Fg == 1:
-        return np.multiply(ggp.reshape(N, G, 1, Q),
-                           wmat.reshape(1, G, K, 1), out=out)
+    kh, kw = kernel
+    win, (oh, ow) = _im2col(_pad2d(x, padding[0], padding[1], out=xpad),
+                            kh, kw, stride[0], stride[1], 0, 0)
+    N, C = x.shape[:2]
+    P = oh * ow
+    F = wmat.shape[0] if groups == 1 else groups * wmat.shape[1]
     if out is None:
-        return np.einsum("ngfq,gfk->ngkq", ggp, wmat, optimize=True)
-    return np.einsum("ngfq,gfk->ngkq", ggp, wmat, out=out, optimize=True)
+        out = np.empty((N, F, oh, ow), dtype=np.result_type(x, wmat))
+    if groups == 1 or C == F == groups:
+        if cols is None:
+            cols = np.empty((N, C * kh * kw, P), dtype=x.dtype)
+        np.copyto(cols.reshape(N, C, kh, kw, oh, ow), win)
+        if groups == 1:
+            np.matmul(wmat, cols.reshape(N, C * kh * kw, P),
+                      out=out.reshape(N, F, P))
+        else:
+            K = kh * kw
+            np.matmul(wmat.reshape(1, C, 1, K), cols.reshape(N, C, K, P),
+                      out=out.reshape(N, C, 1, P))
+    else:
+        G, Fg, K = wmat.shape
+        Cg = C // G
+        if cols is None:
+            cols = np.empty((N, G, oh, ow, K), dtype=x.dtype)
+        np.copyto(cols.reshape(N, G, oh, ow, Cg, kh, kw),
+                  win.reshape(N, G, Cg, kh, kw, oh, ow)
+                  .transpose(0, 1, 5, 6, 2, 3, 4))
+        if Fg == 1:
+            np.matmul(cols.reshape(N, G, P, K), wmat.reshape(1, G, K, 1),
+                      out=out.reshape(N, G, P, 1))
+        else:
+            np.einsum("ngxyk,gfk->ngfxy", cols.reshape(N, G, oh, ow, K),
+                      wmat, out=out.reshape(N, G, Fg, oh, ow),
+                      optimize=True)
+    y = out.reshape(N, F, oh, ow)
+    if bias is not None:
+        y += bias.reshape(1, F, 1, 1)
+    return y, cols
+
+
+def _conv_weight_grad(g: np.ndarray, cols: np.ndarray,
+                      w_shape: Tuple[int, ...], groups: int,
+                      mm: Optional[np.ndarray] = None) -> np.ndarray:
+    """Weight gradient from the output gradient ``g`` and the forward's
+    window scratch ``cols`` (any shape of :func:`_conv_forward`'s).
+
+    Dense convs contract with the batched matmul or tensordot as
+    :func:`_conv_dw_bm` decides; ``mm`` is an optional (N, F, K) buffer
+    for the batched product.  Depthwise convs (and grouped ones with
+    one output per group) run batched matvecs, other grouped convs an
+    einsum.
+    """
+    F, Cg, kh, kw = w_shape
+    N, _, oh, ow = g.shape
+    P = oh * ow
+    K = Cg * kh * kw
+    if groups == 1:
+        g2 = np.ascontiguousarray(g).reshape(N, F, P)
+        cols = cols.reshape(N, K, P)
+        if _conv_dw_bm(P, K):
+            dw = np.matmul(g2, cols.transpose(0, 2, 1), out=mm).sum(axis=0)
+        else:
+            dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
+    elif Cg == 1 and F == groups:
+        g2 = np.ascontiguousarray(g).reshape(N, F, P, 1)
+        dw = np.matmul(cols.reshape(N, F, K, P), g2).sum(axis=0)
+    else:
+        G, Fg = groups, F // groups
+        gg = g.reshape(N, G, Fg, oh, ow)
+        cols = cols.reshape(N, G, oh, ow, K)
+        if Fg == 1:
+            dw = np.matmul(gg.reshape(N, G, 1, P),
+                           cols.reshape(N, G, P, K)).sum(axis=0)
+        else:
+            dw = np.einsum("ngfxy,ngxyk->gfk", gg, cols, optimize=True)
+    return dw.reshape(w_shape)
+
+
+def _conv_gather_dx(g: np.ndarray, wgather: np.ndarray,
+                    x_shape: Tuple[int, ...], kernel: Tuple[int, int],
+                    padding: Tuple[int, int],
+                    gpad: Optional[np.ndarray] = None,
+                    cols: Optional[np.ndarray] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gather input gradient of a dense stride-1 conv: the im2col of
+    ``g`` padded by ``k - 1 - p`` times the flipped, transposed weight
+    (:func:`_conv_dx_wmat`).  ``gpad`` (borders pre-zeroed), the
+    (N, F*kh*kw, H*W) window scratch ``cols`` and the (N, C, H*W)
+    result ``out`` are allocated when omitted."""
+    N, C, H, W = x_shape
+    kh, kw = kernel
+    F = g.shape[1]
+    K = F * kh * kw
+    win, _ = _im2col(_pad2d(g, kh - 1 - padding[0], kw - 1 - padding[1],
+                            out=gpad), kh, kw, 1, 1, 0, 0)
+    if cols is None:
+        cols = np.empty((N, K, H * W), dtype=g.dtype)
+    np.copyto(cols.reshape(N, F, kh, kw, H, W), win)
+    if out is None:
+        out = np.empty((N, C, H * W), dtype=np.result_type(wgather, g))
+    np.matmul(wgather, cols.reshape(N, K, H * W), out=out.reshape(N, C, H * W))
+    return out.reshape(N, C, H, W)
+
+
+def _conv_scatter_dx(g: np.ndarray, wdx: np.ndarray,
+                     x_shape: Tuple[int, ...], kernel: Tuple[int, int],
+                     stride: Tuple[int, int], padding: Tuple[int, int],
+                     groups: int, gpad: Optional[np.ndarray] = None,
+                     dcols: Optional[np.ndarray] = None,
+                     acc: Optional[np.ndarray] = None,
+                     dxi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Scatter input gradient, any stride and groups.
+
+    ``g`` is X-padded to the stride-phase image's pitch (``gpad``,
+    (N, F, OH, XP), its columns beyond OW pre-zeroed), so the producing
+    contraction emits tap-major window rows (``dcols``: (N, K, OH*XP)
+    dense, (N, G, K, OH*XP) grouped) and col2im collapses to one
+    contiguous shifted-slice add per tap (:func:`_col2im_flat`, whose
+    ``out`` / ``dx_out`` are ``acc`` / ``dxi``).  Depthwise-style groups
+    (one output each) need no contraction: a broadcast multiply emits
+    the same products.  Buffers omitted are allocated.
+    """
+    N, C, H, W = x_shape
+    kh, kw = kernel
+    _, F, oh, ow = g.shape
+    Xp = _col2im_xpad(W, padding[1], stride[1])
+    QX = oh * Xp
+    if gpad is None:
+        gpad = np.zeros((N, F, oh, Xp), dtype=g.dtype)
+    np.copyto(gpad[..., :ow], g)
+    if groups == 1:
+        dcols = np.matmul(wdx, gpad.reshape(N, F, QX), out=dcols)
+    elif F == groups:
+        K = wdx.shape[-1]
+        dcols = np.multiply(gpad.reshape(N, F, 1, QX),
+                            wdx.reshape(1, F, K, 1), out=dcols)
+    else:
+        dcols = np.einsum("ngfq,gfk->ngkq",
+                          gpad.reshape(N, groups, F // groups, QX), wdx,
+                          out=dcols, optimize=True)
+    return _col2im_flat(dcols.reshape(N, C, kh, kw, QX), x_shape, kh, kw,
+                        stride[0], stride[1], padding[0], padding[1], oh, ow,
+                        out=acc, dx_out=dxi)
+
+
+def _max_pool_forward(x: np.ndarray, kernel: Tuple[int, int],
+                      stride: Tuple[int, int], padding: Tuple[int, int],
+                      xpad: Optional[np.ndarray] = None,
+                      out: Optional[np.ndarray] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Max pooling: returns the output and the per-window argmax the
+    backward scatters through.  ``xpad`` is an optional padded buffer
+    with -inf borders, ``out`` an optional output buffer."""
+    kh, kw = kernel
+    win, (oh, ow) = _im2col(
+        _pad2d(x, padding[0], padding[1], fill=-np.inf, out=xpad),
+        kh, kw, stride[0], stride[1], 0, 0)
+    N, C = x.shape[:2]
+    flat = win.transpose(0, 1, 4, 5, 2, 3).reshape(N, C, oh, ow, kh * kw)
+    arg = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    if out is None:
+        return y, arg
+    np.copyto(out, y)
+    return out, arg
+
+
+def _max_pool_backward(g: np.ndarray, arg: np.ndarray,
+                       x_shape: Tuple[int, ...], kernel: Tuple[int, int],
+                       stride: Tuple[int, int],
+                       padding: Tuple[int, int]) -> np.ndarray:
+    """Max-pool input gradient: ``g`` routed to each window's argmax."""
+    N, C, oh, ow = g.shape
+    kh, kw = kernel
+    dflat = np.zeros((N, C, oh, ow, kh * kw), dtype=g.dtype)
+    np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
+    dcols = dflat.reshape(N, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
+    return _col2im(dcols, x_shape, kh, kw, *stride, *padding)
+
+
+def _avg_pool_forward(x: np.ndarray, kernel: Tuple[int, int],
+                      stride: Tuple[int, int], padding: Tuple[int, int],
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Average pooling (zero padding counts toward the mean)."""
+    win, _ = _im2col(x, kernel[0], kernel[1], *stride, *padding)
+    return win.mean(axis=(2, 3), out=out)
+
+
+def _avg_pool_backward(g: np.ndarray, x_shape: Tuple[int, ...],
+                       kernel: Tuple[int, int], stride: Tuple[int, int],
+                       padding: Tuple[int, int]) -> np.ndarray:
+    """Average-pool input gradient: ``g / (kh*kw)`` spread over each
+    window."""
+    N, C, oh, ow = g.shape
+    kh, kw = kernel
+    dcols = np.broadcast_to(
+        g[:, :, None, None, :, :] / (kh * kw), (N, C, kh, kw, oh, ow)
+    ).astype(g.dtype)
+    return _col2im(dcols, x_shape, kh, kw, *stride, *padding)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -266,8 +449,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     bias: (C_out,) or None
     groups: 1 for dense conv, C_in for depthwise.
     """
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+    stride, padding = _pair(stride), _pair(padding)
     N, C, H, W = x.shape
     F, Cg, kh, kw = weight.shape
     if C % groups or F % groups:
@@ -275,115 +457,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if Cg != C // groups:
         raise ValueError(f"weight expects {Cg} in-channels/group, input has {C // groups}")
 
-    cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-
-    if groups == 1:
-        # Tap-major layout: the im2col window view is already
-        # (N, C, kh, kw, OH, OW), so a straight copy is cheap (long
-        # contiguous runs), and (F, K) @ (N, K, P) produces NCHW output
-        # directly — no transposes on either side of the matmul.
-        K = C * kh * kw
-        colsK = np.ascontiguousarray(cols).reshape(N, K, oh * ow)
-        w2 = weight.data.reshape(F, K)
-        out_data = np.matmul(w2, colsK).reshape(N, F, oh, ow)
-        cols2 = colsK                                    # closure capture
-    elif Cg == 1 and F == groups:
-        # pure depthwise: stay tap-major like the dense path — the
-        # im2col view copies straight (long contiguous runs) and the
-        # per-channel contraction is a batched matvec
-        K = kh * kw
-        colsK = np.ascontiguousarray(cols).reshape(N, C, K, oh * ow)
-        out_data = _conv_depthwise_fwd(
-            colsK, weight.data.reshape(C, K)).reshape(N, F, oh, ow)
-        cols2 = colsK
-    else:
-        G = groups
-        Fg = F // G
-        # (N, G, Cg, kh, kw, OH, OW) -> (N, G, OH, OW, Cg*kh*kw)
-        colsg = cols.reshape(N, G, Cg, kh, kw, oh, ow)
-        cols2 = np.ascontiguousarray(colsg.transpose(0, 1, 5, 6, 2, 3, 4)).reshape(N, G, oh, ow, Cg * kh * kw)
-        wmat = weight.data.reshape(G, Fg, Cg * kh * kw)  # (G, Fg, K)
-        # a C-contiguous destination keeps downstream reductions (and the
-        # compiled executor's buffer replays) bit-identical
-        out_data = np.empty((N, G, Fg, oh, ow), dtype=cols2.dtype)
-        _conv_grouped_fwd(cols2, wmat, out_data)
-        out_data = out_data.reshape(N, F, oh, ow)
-
-    if bias is not None:
-        out_data += bias.data.reshape(1, F, 1, 1)
-
+    out_data, cols = _conv_forward(
+        x.data, _conv_fwd_wmat(weight.data, groups), (kh, kw), stride,
+        padding, groups, None if bias is None else bias.data)
     parents = (x, weight) + ((bias,) if bias is not None else ())
     req = any(p.requires_grad for p in parents)
     out = Tensor(out_data, requires_grad=req, _parents=parents if req else ())
     if req:
-        x_shape = x.shape
-
-        def _bw(g, x=x, weight=weight, bias=bias, cols2=cols2):
-            # g: (N, F, OH, OW)
+        def _bw(g, x=x, weight=weight, bias=bias, cols=cols):
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2, 3)))
-            if groups == 1:
-                K = C * kh * kw
-                if weight.requires_grad:
-                    g2 = np.ascontiguousarray(g).reshape(N, F, oh * ow)
-                    dw = _conv_dw_dense(g2, cols2)                       # (F, K)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad and _conv_dx_gathers(
-                        C, F, groups, (sh, sw), (ph, pw), (kh, kw)):
-                    qh, qw = kh - 1 - ph, kw - 1 - pw
-                    gp = np.zeros((N, F, oh + 2 * qh, ow + 2 * qw),
-                                  dtype=g.dtype)
-                    gp[:, :, qh:qh + oh, qw:qw + ow] = g
-                    gcols, _ = _im2col(gp, kh, kw, 1, 1, 0, 0)
-                    gK = np.ascontiguousarray(gcols).reshape(
-                        N, F * kh * kw, H * W)
-                    dx = np.matmul(_conv_gather_wmat(weight.data), gK)
-                    x._accumulate(dx.reshape(x_shape), owned=True)
-                elif x.requires_grad:
-                    w2T = np.ascontiguousarray(weight.data.reshape(F, K).T)
-                    # X-padded logits make every col2im tap a single
-                    # contiguous shifted-slice add into its stride phase
-                    # (see _col2im_flat)
-                    Xp = _col2im_xpad(W, pw, sw)
-                    g2p = np.zeros((N, F, oh, Xp), dtype=g.dtype)
-                    g2p[..., :ow] = g
-                    dcolsp = np.matmul(w2T, g2p.reshape(N, F, oh * Xp))
-                    dx = _col2im_flat(
-                        dcolsp.reshape(N, C, kh, kw, oh * Xp),
-                        x_shape, kh, kw, sh, sw, ph, pw, oh, ow)
-                    x._accumulate(dx, owned=True)
-            else:
-                G = groups
-                Fg = F // G
-                gg = g.reshape(N, G, Fg, oh, ow)
-                if weight.requires_grad:
-                    if Cg == 1 and F == G:
-                        g2 = np.ascontiguousarray(g).reshape(N, C, oh * ow)
-                        dw = _conv_dw_depthwise(cols2, g2)
-                    else:
-                        dw = _conv_dw_grouped(gg, cols2)
-                    weight._accumulate(dw.reshape(weight.shape), owned=True)
-                if x.requires_grad:
-                    wmat = weight.data.reshape(G, Fg, Cg * kh * kw)
-                    # Same X-padded tap-major path as the dense backward:
-                    # the contraction emits window rows directly in
-                    # (G, K) == (C, kh, kw) tap-major order with the
-                    # phase image's pitch, so no transpose/materialize
-                    # step survives between it and the flat col2im.
-                    Xp = _col2im_xpad(W, pw, sw)
-                    ggp = np.zeros((N, G, Fg, oh, Xp), dtype=g.dtype)
-                    ggp[..., :ow] = gg
-                    dcolsp = _conv_dcols_grouped(
-                        ggp.reshape(N, G, Fg, oh * Xp), wmat)
-                    dx = _col2im_flat(
-                        dcolsp.reshape(N, C, kh, kw, oh * Xp),
-                        x_shape, kh, kw, sh, sw, ph, pw, oh, ow)
-                    x._accumulate(dx, owned=True)
+            if weight.requires_grad:
+                weight._accumulate(
+                    _conv_weight_grad(g, cols, weight.shape, groups),
+                    owned=True)
+            if x.requires_grad:
+                wdx = _conv_dx_wmat(weight.data, groups, stride, padding)
+                if _conv_dx_gathers(C, F, groups, stride, padding, (kh, kw)):
+                    dx = _conv_gather_dx(g, wdx, x.shape, (kh, kw), padding)
+                else:
+                    dx = _conv_scatter_dx(g, wdx, x.shape, (kh, kw), stride,
+                                          padding, groups)
+                x._accumulate(dx, owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
-        inputs = (x, weight) + ((bias,) if bias is not None else ())
-        _tensor._GRAPH_TRACER.emit("conv2d", inputs, out,
-                                   {"stride": (sh, sw), "padding": (ph, pw),
+        _tensor._GRAPH_TRACER.emit("conv2d", parents, out,
+                                   {"stride": stride, "padding": padding,
                                     "groups": groups,
                                     "has_bias": bias is not None})
     return out
@@ -400,60 +499,42 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
                padding: IntPair = 0) -> Tensor:
     """Max pooling over NCHW windows."""
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else kernel)
-    ph, pw = _pair(padding)
-    xd = x.data
-    if ph or pw:
-        xd = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=-np.inf)
-    cols, (oh, ow) = _im2col(xd, kh, kw, sh, sw, 0, 0)
-    N, C = x.shape[:2]
-    flat = cols.transpose(0, 1, 4, 5, 2, 3).reshape(N, C, oh, ow, kh * kw)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    kernel = _pair(kernel)
+    stride = _pair(stride if stride is not None else kernel)
+    padding = _pair(padding)
+    out_data, arg = _max_pool_forward(x.data, kernel, stride, padding)
     out = Tensor(out_data, requires_grad=x.requires_grad,
                  _parents=(x,) if x.requires_grad else ())
     if x.requires_grad:
-        x_shape = x.shape
-
         def _bw(g, x=x, arg=arg):
-            dflat = np.zeros((N, C, oh, ow, kh * kw), dtype=g.dtype)
-            np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-            dcols = dflat.reshape(N, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
-            x._accumulate(_col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw), owned=True)
+            x._accumulate(_max_pool_backward(g, arg, x.shape, kernel, stride,
+                                             padding), owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
         _tensor._GRAPH_TRACER.emit("max_pool2d", (x,), out,
-                                   {"kernel": (kh, kw), "stride": (sh, sw),
-                                    "padding": (ph, pw)})
+                                   {"kernel": kernel, "stride": stride,
+                                    "padding": padding})
     return out
 
 
 def avg_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None,
                padding: IntPair = 0) -> Tensor:
     """Average pooling over NCHW windows."""
-    kh, kw = _pair(kernel)
-    sh, sw = _pair(stride if stride is not None else kernel)
-    ph, pw = _pair(padding)
-    cols, (oh, ow) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    out_data = cols.mean(axis=(2, 3))
-    out = Tensor(out_data, requires_grad=x.requires_grad,
+    kernel = _pair(kernel)
+    stride = _pair(stride if stride is not None else kernel)
+    padding = _pair(padding)
+    out = Tensor(_avg_pool_forward(x.data, kernel, stride, padding),
+                 requires_grad=x.requires_grad,
                  _parents=(x,) if x.requires_grad else ())
     if x.requires_grad:
-        N, C = x.shape[:2]
-        x_shape = x.shape
-
         def _bw(g, x=x):
-            dcols = np.broadcast_to(
-                g[:, :, None, None, :, :] / (kh * kw), (N, C, kh, kw, oh, ow)
-            ).astype(g.dtype)
-            x._accumulate(_col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw), owned=True)
+            x._accumulate(_avg_pool_backward(g, x.shape, kernel, stride,
+                                             padding), owned=True)
         out._backward = _bw
     if _tensor._GRAPH_TRACER is not None:
         _tensor._GRAPH_TRACER.emit("avg_pool2d", (x,), out,
-                                   {"kernel": (kh, kw), "stride": (sh, sw),
-                                    "padding": (ph, pw)})
+                                   {"kernel": kernel, "stride": stride,
+                                    "padding": padding})
     return out
 
 

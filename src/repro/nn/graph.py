@@ -17,9 +17,13 @@ replayable program:
   for Linear/Conv) is evaluated once at compile time and cached, so a
   QAT model no longer re-quantizes its weights on every attack step;
 - **preallocated buffers** — elementwise/matmul/conv outputs are written
-  into buffers allocated once per executor and reused across replays,
-  and each conv reuses a single im2col scratch buffer for its forward
-  *and* its input-gradient backward;
+  into buffers allocated once per executor and reused across replays;
+  transient scratch (im2col windows, padded inputs) comes from a
+  :class:`ScratchPool` keyed by geometry, so same-shaped layers share
+  it and a channel-preserving conv's gather backward reuses its
+  forward's window buffer.  Conv and pooling ops run the very kernels
+  of :mod:`repro.nn.functional` that the eager tape runs; their
+  factories here only supply these buffers;
 - **no per-step Python closure allocation or topo re-sort** — the
   program is a fixed list of bound kernels built at compile time;
 - **fused forward + input gradient** — :meth:`CompiledForward.
@@ -55,11 +59,7 @@ import numpy as np
 
 from . import rowrep
 from . import tensor as _tensor
-from .functional import (_col2im, _col2im_flat, _col2im_xpad,
-                         _conv_dcols_grouped, _conv_depthwise_fwd,
-                         _conv_dw_dense, _conv_dw_depthwise,
-                         _conv_dw_grouped, _conv_dx_gathers,
-                         _conv_gather_wmat, _conv_grouped_fwd, _im2col)
+from . import functional as F_
 from .module import Module
 from .tensor import Tensor, _unbroadcast, get_default_dtype
 
@@ -423,8 +423,8 @@ class _Program:
         for nid, t in self._leaves.items():
             env[nid] = t.data
         for ctx in self._ctx.values():
-            for key in ("wmat", "wmat_g", "w2", "w2T", "wgather"):
-                ctx.pop(key, None)
+            ctx.pop("wf", None)
+            ctx.pop("wdx", None)
         for op in self._const_ops:
             val = _eval_const(op, env)
             if val.dtype.kind == "f" and val.dtype != self._dtype:
@@ -1314,32 +1314,18 @@ def _b_fake_quant(prog, op):
 
 
 # ---- convolution ------------------------------------------------------ #
+# The conv and pooling math lives in repro.nn.functional; these factories
+# only register each op's buffers and pass them into the same kernels
+# the eager tape calls with none.
 def _conv_wmats(prog, op, ctx) -> None:
-    """(Re)build the cached weight matrices for a conv node.
-
-    The folded weight is constant across replays, so the
-    ``weight.reshape(F, K)`` matrix (and the transposed copy the
-    backward matmul consumes) is built once per compile/refresh instead
-    of per step — the same arrays the eager kernel builds, so the BLAS
-    calls stay bitwise-identical to the tape.  Layers whose input
-    gradient gathers (see ``functional._conv_dx_gathers``) hold the
-    flipped, transposed weight instead of ``w2T``.
-    """
+    """(Re)build the cached weight matrices of a conv node: the folded
+    weight is constant across replays, so they are built once per
+    compile/refresh instead of per step."""
     w = prog._env[op.inputs[1]]
-    F, Cg, kh, kw = w.shape
-    if op.attrs["groups"] == 1:
-        w2 = np.ascontiguousarray(w.reshape(F, Cg * kh * kw))
-        ctx["w2"] = w2
-        if _conv_dx_gathers(Cg, F, 1, op.attrs["stride"],
-                            op.attrs["padding"], (kh, kw)):
-            ctx["wgather"] = _conv_gather_wmat(w)
-        else:
-            ctx["w2T"] = np.ascontiguousarray(w2.T)
-    else:
-        G = op.attrs["groups"]
-        wmat_g = w.reshape(G, F // G, Cg * kh * kw)
-        ctx["wmat"] = wmat_g
-        ctx["wmat_g"] = wmat_g          # gradient layout
+    groups = op.attrs["groups"]
+    ctx["wf"] = F_._conv_fwd_wmat(w, groups)
+    ctx["wdx"] = F_._conv_dx_wmat(w, groups, op.attrs["stride"],
+                                  op.attrs["padding"])
 
 
 @_register("conv2d")
@@ -1349,12 +1335,13 @@ def _f_conv2d(prog, op):
     if dyn_w and prog._variable_batch:
         raise GraphUnsupported("input-dependent conv weights are not replayable")
     b_id = op.inputs[2] if op.attrs["has_bias"] else None
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
+    stride, padding = op.attrs["stride"], op.attrs["padding"]
+    ph, pw = padding
     groups = op.attrs["groups"]
     _, C, H, W = op.in_shapes[0]
     F, Cg, kh, kw = op.in_shapes[1]
     oh, ow = op.out_shape[2], op.out_shape[3]
+    P = oh * ow
     env = prog._env
     ctx = prog._ctx[op.out]
     # Training programs keep the im2col scratch alive until the weight
@@ -1370,81 +1357,24 @@ def _f_conv2d(prog, op):
         prog._register_buf(("conv_pad", op.out),
                            (C, H + 2 * ph, W + 2 * pw), fill=0.0,
                            pool_key=("conv_pad", C, H, W, ph, pw))
-
-    def padded_input(n, x_id=x_id, o=op.out):
-        if not (ph or pw):
-            return env[x_id]
-        pb = prog._slot(("conv_pad", o), n)
-        pb[:, :, ph:ph + H, pw:pw + W] = env[x_id]
-        return pb
-
-    if groups == 1:
-        # Tap-major layout (mirrors the eager kernel exactly): the
-        # im2col window view is already (n, C, kh, kw, oh, ow), so the
-        # scratch fill is a cheap straight copy, and (F, K) @ (n, K, P)
-        # writes NCHW output with no transposes around the matmul.
+    if groups == 1 or C == F == groups:
+        # tap-major windows (dense and depthwise)
         K = C * kh * kw
-        P = oh * ow
         prog._register_buf(("conv_cols", op.out), (K, P),
                            pool_key=None if retain else ("conv_cols", K, P))
         prog._register_buf(op.out, (F, P))
-
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "w2" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, C, kh, kw, oh, ow), cols)
-            obuf = prog._slot(o, n)
-            np.matmul(ctx["w2"], scratch, out=obuf)
-            if b_id is not None:
-                obuf += env[b_id][:, None]
-            env[o] = obuf.reshape(n, F, oh, ow)
-    elif Cg == 1 and F == groups:
-        # pure depthwise mirrors the eager tap-major path: the scratch
-        # holds (C, kh*kw, P) windows filled by a straight copy, and the
-        # contraction is a batched matvec
-        K = kh * kw
-        P = oh * ow
-        prog._register_buf(("conv_cols", op.out), (C * K, P),
-                           pool_key=None if retain else ("conv_cols",
-                                                         C * K, P))
-        prog._register_buf(op.out, (F, P))
-
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "wmat_g" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, C, kh, kw, oh, ow), cols)
-            obuf = prog._slot(o, n)
-            _conv_depthwise_fwd(scratch.reshape(n, C, K, P),
-                                ctx["wmat_g"].reshape(C, K),
-                                out=obuf.reshape(n, C, 1, P))
-            out = obuf.reshape(n, F, oh, ow)
-            if b_id is not None:
-                out = out + env[b_id].reshape(1, F, 1, 1)
-            env[o] = out
     else:
-        G = groups
-        Fg = F // G
-        prog._register_buf(("conv_cols", op.out), (G, oh, ow, Cg * kh * kw))
-        prog._register_buf(op.out, (G, Fg, oh, ow))
+        prog._register_buf(("conv_cols", op.out), (groups, oh, ow, Cg * kh * kw))
+        prog._register_buf(op.out, (groups, F // groups, oh, ow))
 
-        def run(n, x_id=x_id, b_id=b_id, o=op.out):
-            if dyn_w or "wmat" not in ctx:
-                _conv_wmats(prog, op, ctx)
-            cols, _ = _im2col(padded_input(n), kh, kw, sh, sw, 0, 0)
-            colsg = cols.reshape(n, G, Cg, kh, kw, oh, ow)
-            scratch = prog._slot(("conv_cols", o), n)
-            np.copyto(scratch.reshape(n, G, oh, ow, Cg, kh, kw),
-                      colsg.transpose(0, 1, 5, 6, 2, 3, 4))
-            obuf = prog._slot(o, n)
-            _conv_grouped_fwd(scratch, ctx["wmat"], obuf)
-            out = obuf.reshape(n, F, oh, ow)
-            if b_id is not None:
-                out = out + env[b_id].reshape(1, F, 1, 1)
-            env[o] = out
+    def run(n, x_id=x_id, b_id=b_id, o=op.out):
+        if dyn_w or "wf" not in ctx:
+            _conv_wmats(prog, op, ctx)
+        env[o], _ = F_._conv_forward(
+            env[x_id], ctx["wf"], (kh, kw), stride, padding, groups,
+            bias=None if b_id is None else env[b_id],
+            xpad=prog._slot(("conv_pad", o), n) if ph or pw else None,
+            cols=prog._slot(("conv_cols", o), n), out=prog._slot(o, n))
     return run
 
 
@@ -1453,81 +1383,49 @@ def _b_conv2d(prog, op):
     x_id, w_id = op.inputs[0], op.inputs[1]
     b_id = op.inputs[2] if op.attrs["has_bias"] else None
     var = prog._var_set
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
     groups = op.attrs["groups"]
     C = op.in_shapes[0][1]
-    F, Cg, kh, kw = op.in_shapes[1]
+    w_shape = op.in_shapes[1]
+    F, Cg, kh, kw = w_shape
     oh, ow = op.out_shape[2], op.out_shape[3]
-    if _conv_dx_gathers(C, F, groups, (sh, sw), (ph, pw), (kh, kw)):
+    if F_._conv_dx_gathers(C, F, groups, op.attrs["stride"],
+                           op.attrs["padding"], (kh, kw)):
         input_grad = _conv_gather_dx(prog, op)
     else:
         input_grad = _conv_scatter_dx(prog, op)
+    K = Cg * kh * kw
+    # the dense weight gradient's batched product lands in pooled scratch
+    dw_bm = groups == 1 and w_id in var and F_._conv_dw_bm(oh * ow, K)
+    if dw_bm:
+        prog._register_buf(("conv_dwm", op.out), (F, K),
+                           pool_key=("conv_dwm", F, K))
 
-    if groups == 1:
-        K = C * kh * kw
-        # same shape gate as the eager _conv_dw_dense, with the batched
-        # product landing in pooled scratch (bitwise-identical GEMMs)
-        dw_bm = (oh * ow) * 4 >= K
-        if w_id in var and dw_bm:
-            prog._register_buf(("conv_dwm", op.out), (F, K),
-                               pool_key=("conv_dwm", F, K))
-
-        def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
-                o=op.out):
-            if b_id is not None and b_id in var:
-                _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
-            if w_id in var:
-                g2 = np.ascontiguousarray(g).reshape(n, F, oh * ow)
-                cols2 = prog._slot(("conv_cols", o), n)
-                if dw_bm:
-                    mm = prog._slot(("conv_dwm", o), n)
-                    np.matmul(g2, cols2.transpose(0, 2, 1), out=mm)
-                    dw = mm.sum(axis=0)
-                else:
-                    dw = _conv_dw_dense(g2, cols2)
-                _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
-            if x_id in var:
-                _gacc(genv, gowned, x_id, input_grad(g, n), False)
-    else:
-        G = groups
-        Fg = F // G
-        K = Cg * kh * kw
-        dwise = Cg == 1 and F == G
-
-        def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id,
-                o=op.out):
-            if b_id is not None and b_id in var:
-                _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
-            if w_id in var:
-                cols2 = prog._slot(("conv_cols", o), n)
-                if dwise:
-                    g2 = np.ascontiguousarray(g).reshape(n, C, oh * ow)
-                    dw = _conv_dw_depthwise(
-                        cols2.reshape(n, C, K, oh * ow), g2)
-                else:
-                    dw = _conv_dw_grouped(g.reshape(n, G, Fg, oh, ow),
-                                          cols2)
-                _gacc(genv, gowned, w_id, dw.reshape(F, Cg, kh, kw), True)
-            if x_id in var:
-                _gacc(genv, gowned, x_id, input_grad(g, n), False)
+    def run(g, genv, gowned, n, x_id=x_id, w_id=w_id, b_id=b_id, o=op.out):
+        if b_id is not None and b_id in var:
+            _gacc(genv, gowned, b_id, g.sum(axis=(0, 2, 3)), True)
+        if w_id in var:
+            dw = F_._conv_weight_grad(
+                g, prog._slot(("conv_cols", o), n), w_shape, groups,
+                mm=prog._slot(("conv_dwm", o), n) if dw_bm else None)
+            _gacc(genv, gowned, w_id, dw, True)
+        if x_id in var:
+            _gacc(genv, gowned, x_id, input_grad(g, n), False)
     return run
 
 
 def _conv_gather_dx(prog, op) -> Callable:
-    """Gather input gradient of a dense stride-1 conv (mirrors the eager
-    kernel): im2col of ``dY`` padded by ``k - 1 - p`` times the flipped,
-    transposed weight.  The padded gradient and its windows are transient
-    and drawn from the same pool entries as a forward of that geometry
-    (``conv_pad`` / ``conv_cols``), so a channel-preserving layer's
-    backward adds no transient scratch of its own.  The (C, H*W) result
-    is referenced from the gradient environment after the closure
-    returns, so it stays private."""
+    """Buffers of the gather input gradient (``F_._conv_gather_dx``).
+    The padded gradient and its windows are transient and drawn from
+    the same pool entries as a forward of that geometry (``conv_pad`` /
+    ``conv_cols``), so a channel-preserving layer's backward adds no
+    transient scratch of its own.  The (C, H*W) result is referenced
+    from the gradient environment after the closure returns, so it
+    stays private."""
     _, C, H, W = op.in_shapes[0]
     F, _, kh, kw = op.in_shapes[1]
-    ph, pw = op.attrs["padding"]
+    padding = op.attrs["padding"]
     oh, ow = op.out_shape[2], op.out_shape[3]
-    qh, qw = kh - 1 - ph, kw - 1 - pw
+    qh, qw = kh - 1 - padding[0], kw - 1 - padding[1]
     ctx = prog._ctx[op.out]
     if qh or qw:
         prog._register_buf(("conv_gin", op.out),
@@ -1539,44 +1437,33 @@ def _conv_gather_dx(prog, op) -> Callable:
     prog._register_buf(("conv_gdx", op.out), (C, H * W))
 
     def input_grad(g, n, o=op.out):
-        if qh or qw:
-            gp = prog._slot(("conv_gin", o), n)
-            gp[:, :, qh:qh + oh, qw:qw + ow] = g
-        else:
-            gp = g
-        cols, _ = _im2col(gp, kh, kw, 1, 1, 0, 0)
-        scratch = prog._slot(("conv_gcols", o), n)
-        np.copyto(scratch.reshape(n, F, kh, kw, H, W), cols)
-        dx = prog._slot(("conv_gdx", o), n)
-        np.matmul(ctx["wgather"], scratch, out=dx)
-        return dx.reshape(n, C, H, W)
+        return F_._conv_gather_dx(
+            g, ctx["wdx"], (n, C, H, W), (kh, kw), padding,
+            gpad=prog._slot(("conv_gin", o), n) if qh or qw else None,
+            cols=prog._slot(("conv_gcols", o), n),
+            out=prog._slot(("conv_gdx", o), n))
     return input_grad
 
 
 def _conv_scatter_dx(prog, op) -> Callable:
-    """Scatter input gradient (mirrors the eager kernel, all strides and
-    groups): the producing matmul/einsum emits tap-major window rows
-    X-padded to the stride-phase image's own pitch, so col2im collapses
-    to one contiguous shifted-slice add per tap (see
-    ``functional._col2im_flat``).  The accumulator is referenced from
-    the gradient environment after the closure returns, so it stays
-    private; the padded-gradient and window-row scratch are transient
-    and pooled."""
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
+    """Buffers of the scatter input gradient (``F_._conv_scatter_dx``).
+    The accumulator is referenced from the gradient environment after
+    the closure returns, so it stays private; the padded-gradient and
+    window-row scratch are transient and pooled."""
+    stride, padding = op.attrs["stride"], op.attrs["padding"]
     G = op.attrs["groups"]
     _, C, H, W = op.in_shapes[0]
     F, Cg, kh, kw = op.in_shapes[1]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    oh = op.out_shape[2]
     ctx = prog._ctx[op.out]
-    Xp = _col2im_xpad(W, pw, sw)
+    Xp = F_._col2im_xpad(W, padding[1], stride[1])
     QX = oh * Xp
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    Hq = -(-Hp // sh)
-    phases = sh * sw
+    Hp, Wp = H + 2 * padding[0], W + 2 * padding[1]
+    phases = stride[0] * stride[1]
     prog._register_buf(("conv_gpad", op.out), (F, oh, Xp), fill=0.0,
                        pool_key=("conv_gpad", F, oh, Xp))
-    prog._register_buf(("conv_dx", op.out), (C, phases, Hq * Xp))
+    prog._register_buf(("conv_dx", op.out),
+                       (C, phases, -(-Hp // stride[0]) * Xp))
     if phases > 1:
         prog._register_buf(("conv_dxi", op.out), (C, Hp, Wp))
     K = Cg * kh * kw
@@ -1586,21 +1473,15 @@ def _conv_scatter_dx(prog, op) -> Callable:
     else:
         prog._register_buf(("conv_gdcols", op.out), (G, K, QX),
                            pool_key=("conv_gdcols", G, K, QX))
+    dcols_key = "conv_dcols" if G == 1 else "conv_gdcols"
 
     def input_grad(g, n, o=op.out):
-        ggp = prog._slot(("conv_gpad", o), n)
-        np.copyto(ggp[..., :ow], g)
-        if G == 1:
-            dcolsp = prog._slot(("conv_dcols", o), n)
-            np.matmul(ctx["w2T"], ggp.reshape(n, F, QX), out=dcolsp)
-        else:
-            dcolsp = prog._slot(("conv_gdcols", o), n)
-            _conv_dcols_grouped(ggp.reshape(n, G, F // G, QX),
-                                ctx["wmat_g"], out=dcolsp)
-        dxi = (prog._slot(("conv_dxi", o), n) if phases > 1 else None)
-        return _col2im_flat(dcolsp.reshape(n, C, kh, kw, QX),
-                            (n, C, H, W), kh, kw, sh, sw, ph, pw, oh, ow,
-                            out=prog._slot(("conv_dx", o), n), dx_out=dxi)
+        return F_._conv_scatter_dx(
+            g, ctx["wdx"], (n, C, H, W), (kh, kw), stride, padding, G,
+            gpad=prog._slot(("conv_gpad", o), n),
+            dcols=prog._slot((dcols_key, o), n),
+            acc=prog._slot(("conv_dx", o), n),
+            dxi=prog._slot(("conv_dxi", o), n) if phases > 1 else None)
     return input_grad
 
 
@@ -1608,12 +1489,9 @@ def _conv_scatter_dx(prog, op) -> Callable:
 @_register("max_pool2d")
 def _f_max_pool2d(prog, op):
     a, = op.inputs
-    kh, kw = op.attrs["kernel"]
-    sh, sw = op.attrs["stride"]
+    kernel, stride = op.attrs["kernel"], op.attrs["stride"]
     ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    C, H, W = op.in_shapes[0][1:]
     env = prog._env
     ctx = prog._ctx[op.out]
     prog._register_buf(op.out, op.out_shape[1:])
@@ -1623,73 +1501,51 @@ def _f_max_pool2d(prog, op):
                            (C, H + 2 * ph, W + 2 * pw), fill=-np.inf)
 
     def run(n, a=a, o=op.out):
-        xd = env[a]
-        if ph or pw:
-            pb = prog._slot(("pool_pad", o), n)
-            pb[:, :, ph:ph + H, pw:pw + W] = xd
-            xd = pb
-        cols, _ = _im2col(xd, kh, kw, sh, sw, 0, 0)
-        flat = cols.transpose(0, 1, 4, 5, 2, 3).reshape(n, C, oh, ow, kh * kw)
-        arg = flat.argmax(axis=-1)
-        ctx["arg"] = arg
-        out = prog._slot(o, n)
-        np.copyto(out, np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
-        env[o] = out
+        env[o], ctx["arg"] = F_._max_pool_forward(
+            env[a], kernel, stride, (ph, pw),
+            xpad=prog._slot(("pool_pad", o), n) if ph or pw else None,
+            out=prog._slot(o, n))
     return run
 
 
 @_register_bwd("max_pool2d")
 def _b_max_pool2d(prog, op):
     a, = op.inputs
-    kh, kw = op.attrs["kernel"]
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    kernel, stride = op.attrs["kernel"], op.attrs["stride"]
+    padding = op.attrs["padding"]
+    x_shape = op.in_shapes[0][1:]
     ctx = prog._ctx[op.out]
 
     def run(g, genv, gowned, n, a=a):
-        arg = ctx["arg"]
-        dflat = np.zeros((n, C, oh, ow, kh * kw), dtype=g.dtype)
-        np.put_along_axis(dflat, arg[..., None], g[..., None], axis=-1)
-        dcols = dflat.reshape(n, C, oh, ow, kh, kw).transpose(0, 1, 4, 5, 2, 3)
         _gacc(genv, gowned, a,
-              _col2im(dcols, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
+              F_._max_pool_backward(g, ctx["arg"], (n,) + x_shape, kernel,
+                                    stride, padding), True)
     return run
 
 
 @_register("avg_pool2d")
 def _f_avg_pool2d(prog, op):
     a, = op.inputs
-    kh, kw = op.attrs["kernel"]
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
+    kernel, stride = op.attrs["kernel"], op.attrs["stride"]
+    padding = op.attrs["padding"]
     env = prog._env
     prog._register_buf(op.out, op.out_shape[1:])
 
     def run(n, a=a, o=op.out):
-        cols, _ = _im2col(env[a], kh, kw, sh, sw, ph, pw)
-        out = prog._slot(o, n)
-        cols.mean(axis=(2, 3), out=out)
-        env[o] = out
+        env[o] = F_._avg_pool_forward(env[a], kernel, stride, padding,
+                                      out=prog._slot(o, n))
     return run
 
 
 @_register_bwd("avg_pool2d")
 def _b_avg_pool2d(prog, op):
     a, = op.inputs
-    kh, kw = op.attrs["kernel"]
-    sh, sw = op.attrs["stride"]
-    ph, pw = op.attrs["padding"]
-    C = op.in_shapes[0][1]
-    H, W = op.in_shapes[0][2], op.in_shapes[0][3]
-    oh, ow = op.out_shape[2], op.out_shape[3]
+    kernel, stride = op.attrs["kernel"], op.attrs["stride"]
+    padding = op.attrs["padding"]
+    x_shape = op.in_shapes[0][1:]
 
     def run(g, genv, gowned, n, a=a):
-        dcols = np.broadcast_to(
-            g[:, :, None, None, :, :] / (kh * kw), (n, C, kh, kw, oh, ow)
-        ).astype(g.dtype)
         _gacc(genv, gowned, a,
-              _col2im(dcols, (n, C, H, W), kh, kw, sh, sw, ph, pw), True)
+              F_._avg_pool_backward(g, (n,) + x_shape, kernel, stride,
+                                    padding), True)
     return run

@@ -259,7 +259,8 @@ def attack_factory(original: Any, adapted: Any, rec: Dict[str, Any],
     kind = rec["kind"]
     eps = float(rec.get("eps", 8 / 255))
     alpha = float(rec.get("alpha", 1 / 255))
-    n_steps = int(rec.get("steps", default_steps))
+    # the attack validates steps itself: int() here would turn 2.7 into 2
+    n_steps = rec.get("steps", default_steps)
     if kind == "diva":
         c = float(rec.get("c", 1.0))
         return (lambda c=c, eps=eps, alpha=alpha, n=n_steps:

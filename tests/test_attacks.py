@@ -135,6 +135,13 @@ class TestBaselineAttacks:
             PGD(quant, eps=-1.0)
         with pytest.raises(ValueError):
             PGD(quant, steps=0)
+        # NaN passes every "<= 0" check; fractional and bool step counts
+        # would otherwise truncate or count silently
+        for bad in ({"eps": float("nan")}, {"alpha": float("nan")},
+                    {"eps": float("inf")}, {"steps": 2.7},
+                    {"steps": True}):
+            with pytest.raises(ValueError):
+                PGD(quant, **bad)
 
 
 class TestDIVA:

@@ -10,8 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.attacks import (CWLinf, DIVA, MomentumPGD, PGD, PairedExecutor,
-                           TargetedDIVA, generate_grid)
+from repro.attacks import (AttackTrace, CWLinf, DIVA, MomentumPGD, PGD,
+                           PairedExecutor, TargetedDIVA, generate_grid)
 from repro.attacks.base import softmax_np, softmax_vjp
 from repro.nn.graph import ScratchPool, compile_forward
 from repro.nn.module import Module
@@ -113,6 +113,16 @@ class _NeverSucceedsPGD(_NeverSucceeds, PGD):
 
 class _NeverSucceedsMomentumPGD(_NeverSucceeds, MomentumPGD):
     pass
+
+
+class _AlwaysSucceedsMomentumPGD(MomentumPGD):
+    """Every checked iterate satisfies the success criterion."""
+
+    def success_from_logits(self, aux, y):
+        return None if aux is None else np.ones(len(y), dtype=bool)
+
+    def is_success(self, x_adv, y):
+        return np.ones(len(x_adv), dtype=bool)
 
 
 class _FullBatchPGD(PGD):
@@ -368,6 +378,44 @@ class TestPassCountRegression:
         atk.use_compiled = False
         atk.generate(x[:8], y[:8])
         assert spy.calls == steps
+
+    @pytest.mark.parametrize("keep_best", [True, False])
+    def test_full_batch_loop_stops_once_every_row_expired(self, qat_pair,
+                                                          keep_best):
+        """Rows whose deadline has passed freeze before the first pass:
+        no gradient pass can change what is returned, so none is paid
+        (the keep-best loop used to pay all ``steps``)."""
+        from repro.serve import DeadlineToken, ManualClock
+        orig, quant, x, y = qat_pair
+        spy = _SpyModel(quant)
+        atk = MomentumPGD(spy, steps=20, keep_best=keep_best)
+        atk.use_compiled = False
+        token = DeadlineToken(np.zeros(4), ManualClock())
+        trace = AttackTrace()
+        got = atk.generate(x[:4], y[:4], trace=trace, deadline=token)
+        assert spy.calls == 0
+        assert np.array_equal(got, x[:4])
+        assert token.expired.all() and not token.steps_done.any()
+        assert len(trace.snapshots) == 20
+        assert all(np.array_equal(s, x[:4]) for s in trace.snapshots)
+
+    def test_full_batch_loop_stops_once_every_row_succeeded(self, qat_pair):
+        """Every row succeeds at its first checked iterate: the loop
+        stops after the pass that checks it, with the bytes (and trace)
+        of a run that had the full budget."""
+        orig, quant, x, y = qat_pair
+        spy = _SpyModel(quant)
+        atk = _AlwaysSucceedsMomentumPGD(spy, steps=20, eps=0.1, alpha=0.01)
+        atk.use_compiled = False
+        trace = AttackTrace()
+        got = atk.generate(x[:4], y[:4], trace=trace)
+        assert spy.calls == 2
+        one_step = MomentumPGD(quant, steps=1, eps=0.1, alpha=0.01)
+        one_step.use_compiled = False
+        want = one_step.generate(x[:4], y[:4])
+        assert np.array_equal(got, want)
+        assert len(trace.snapshots) == 20
+        assert all(np.array_equal(s, want) for s in trace.snapshots)
 
     def test_fgsm_as_single_step_pgd_costs_one_pass_both_loops(self,
                                                                qat_pair):

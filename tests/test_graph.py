@@ -253,6 +253,163 @@ class TestConvGatherParity:
         np.testing.assert_allclose(xt.grad, scatter, rtol=tol, atol=tol)
 
 
+#: every conv kernel branch: (groups kind, channels per group, outputs
+#: per group, kernel, stride, pad, H, W, dtype, seed).  "dense" convs
+#: gather (stride 1, F <= C, pad <= k - 1) or scatter; "two" is
+#: groups=2, with one output per group (broadcast-multiply scatter) or
+#: several (einsum); "dw" is depthwise (groups == C == F)
+conv_branch_geometries = st.tuples(
+    st.sampled_from(["dense", "two", "dw"]), st.integers(1, 4),
+    st.integers(1, 4), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2]),
+    st.integers(0, 2), st.integers(3, 8), st.integers(3, 8),
+    st.sampled_from(["float32", "float64"]), st.integers(0, 2 ** 16))
+
+#: padded pooling: (kind, kernel, stride, pad, C, H, W, dtype, seed)
+pool_geometries = st.tuples(
+    st.sampled_from(["max", "avg"]), st.integers(1, 3), st.integers(1, 3),
+    st.integers(0, 1), st.integers(1, 3), st.integers(3, 8),
+    st.integers(3, 8), st.sampled_from(["float32", "float64"]),
+    st.integers(0, 2 ** 16))
+
+
+def _taps(xp, kh, kw, s, oh, ow):
+    """(N, C, kh, kw, oh, ow) windows of padded ``xp``, by slicing."""
+    return np.stack([np.stack([xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                               for j in range(kw)], axis=2)
+                     for i in range(kh)], axis=2)
+
+
+def _conv_reference(x, w, g, stride, pad, groups):
+    """Conv output, input and weight gradients from the textbook
+    formulas: explicit tap slices, grouped einsums, ``_col2im``."""
+    from repro.nn import functional as F_
+    N, C, H, W = x.shape
+    Fo, Cg, k, _ = w.shape
+    G, Fg = groups, Fo // groups
+    oh, ow = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = _taps(xp, k, k, stride, oh, ow).reshape(N, G, Cg, k, k, oh, ow)
+    wg = w.reshape(G, Fg, Cg, k, k)
+    gg = g.reshape(N, G, Fg, oh, ow)
+    out = np.einsum("ngcijxy,gfcij->ngfxy", win, wg).reshape(N, Fo, oh, ow)
+    dcols = np.einsum("ngfxy,gfcij->ngcijxy", gg, wg)
+    dx = F_._col2im(dcols.reshape(N, C, k, k, oh, ow), x.shape, k, k,
+                    stride, stride, pad, pad)
+    dw = np.einsum("ngfxy,ngcijxy->gfcij", gg, win).reshape(w.shape)
+    return out, dx, dw
+
+
+def _pool_reference(kind, x, g, k, stride, pad):
+    """Pool output and input gradient by explicit per-window loops."""
+    N, C, H, W = x.shape
+    fill = -np.inf if kind == "max" else 0.0
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                constant_values=fill)
+    oh, ow = g.shape[2:]
+    out = np.empty(g.shape, dtype=np.float64)
+    dxp = np.zeros(xp.shape, dtype=np.float64)
+    for n in range(N):
+        for c in range(C):
+            for i in range(oh):
+                for j in range(ow):
+                    r, q = i * stride, j * stride
+                    win = xp[n, c, r:r + k, q:q + k]
+                    if kind == "max":
+                        a, b = np.unravel_index(np.argmax(win), win.shape)
+                        out[n, c, i, j] = win[a, b]
+                        dxp[n, c, r + a, q + b] += g[n, c, i, j]
+                    else:
+                        out[n, c, i, j] = win.sum() / (k * k)
+                        dxp[n, c, r:r + k, q:q + k] += g[n, c, i, j] / (k * k)
+    return out, dxp[:, :, pad:pad + H, pad:pad + W]
+
+
+class TestKernelBranches:
+    """Every conv and pooling kernel branch, generated.  Compiled and
+    eager legs share the kernels in ``repro.nn.functional``, so their
+    byte equality proves the compiled buffer wiring; agreement with the
+    independent reference formulas proves the kernel math."""
+
+    @given(conv_branch_geometries)
+    @example(("dense", 4, 3, 3, 1, 1, 6, 5, "float32", 0))    # gather
+    @example(("dense", 3, 5, 3, 1, 1, 6, 5, "float64", 1))    # stem scatter
+    @example(("dense", 3, 2, 1, 1, 1, 5, 5, "float32", 5))    # pad > k - 1
+    @example(("dense", 4, 3, 3, 2, 1, 7, 6, "float32", 2))    # stride 2
+    @example(("two", 2, 1, 3, 2, 1, 7, 6, "float64", 3))      # Fg == 1
+    @example(("two", 2, 3, 3, 1, 1, 5, 6, "float32", 4))      # einsum
+    @example(("dw", 3, 1, 3, 1, 1, 6, 6, "float32", 6))       # depthwise
+    @example(("dw", 4, 1, 3, 2, 1, 7, 7, "float64", 7))       # depthwise s2
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_conv_matches_eager_and_reference(self, geometry):
+        from repro.nn import functional as F_
+        from repro.nn.tensor import set_default_dtype
+        kind, cg, fg, k, s, pad, H, W, dtype, seed = geometry
+        assume(H + 2 * pad >= k and W + 2 * pad >= k)
+        groups = {"dense": 1, "two": 2, "dw": cg}[kind]
+        C = cg if kind == "dw" else cg * groups
+        Fo = C if kind == "dw" else fg * groups
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, C, H, W)).astype(dtype)
+        w = Tensor(rng.standard_normal((Fo, C // groups, k, k)).astype(dtype),
+                   requires_grad=True)
+        b = Tensor(rng.standard_normal(Fo).astype(dtype))
+
+        def conv(t):
+            return F_.conv2d(t, w, b, stride=s, padding=pad, groups=groups)
+
+        xt = Tensor(x, requires_grad=True)
+        out = conv(xt)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        dw = w.grad.copy()      # compile-time validation runs the tape again
+        y, gx = compile_forward(conv, x).value_and_input_grad(x, g)
+        assert y.tobytes() == out.data.tobytes()
+        assert gx.tobytes() == xt.grad.tobytes()
+
+        ref_out, ref_dx, ref_dw = _conv_reference(
+            x.astype(np.float64), w.data.astype(np.float64),
+            g.astype(np.float64), s, pad, groups)
+        ref_out += b.data.reshape(1, Fo, 1, 1)
+        tol = 1e-4 if dtype == "float32" else 1e-10
+        for got, want in ((out.data, ref_out), (xt.grad, ref_dx),
+                          (dw, ref_dw)):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @given(pool_geometries)
+    @example(("max", 3, 2, 1, 2, 7, 6, "float32", 0))
+    @example(("avg", 3, 2, 1, 2, 7, 6, "float64", 1))
+    @example(("max", 2, 1, 1, 1, 5, 5, "float64", 2))
+    @example(("avg", 3, 3, 1, 3, 8, 4, "float32", 3))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pool_matches_eager_and_reference(self, geometry):
+        from repro.nn import functional as F_
+        from repro.nn.tensor import set_default_dtype
+        kind, k, s, pad, C, H, W, dtype, seed = geometry
+        pad = min(pad, k // 2)        # every window keeps a real pixel
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, C, H, W)).astype(dtype)
+        pool = F_.max_pool2d if kind == "max" else F_.avg_pool2d
+
+        def f(t):
+            return pool(t, k, s, pad)
+
+        xt = Tensor(x, requires_grad=True)
+        out = f(xt)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        y, gx = compile_forward(f, x).value_and_input_grad(x, g)
+        assert y.tobytes() == out.data.tobytes()
+        assert gx.tobytes() == xt.grad.tobytes()
+
+        ref_out, ref_dx = _pool_reference(kind, x.astype(np.float64),
+                                          g.astype(np.float64), k, s, pad)
+        tol = 1e-5 if dtype == "float32" else 1e-12
+        np.testing.assert_allclose(out.data, ref_out, rtol=tol, atol=tol)
+        np.testing.assert_allclose(xt.grad, ref_dx, rtol=tol, atol=tol)
+
+
 class TestFallback:
     def test_data_dependent_where_cond_refused(self):
         """A condition computed from the traced input (off-tape) must be

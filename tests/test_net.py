@@ -205,6 +205,24 @@ def test_draining_server_sheds_new_work_structurally(wl, ref):
         server.shutdown()
 
 
+@pytest.mark.parametrize("field,value", [("eps", float("nan")),
+                                         ("alpha", float("nan")),
+                                         ("steps", 2.7)])
+def test_invalid_budget_rejected_at_submit(wl, field, value):
+    """JSON carries NaN and fractional step counts: the attack's own
+    budget validation refuses them at submit time, structurally."""
+    _clock, _session, server, client = _loopback(wl)
+    try:
+        rec = dict(wl.jobs[2].record, **{field: value})
+        fut = client.submit(rec, wl.jobs[2].x, wl.jobs[2].y)
+        with pytest.raises(Exception, match="ValueError"):
+            fut.result()
+        assert fut.outcome == "rejected"
+    finally:
+        client.close()
+        server.shutdown()
+
+
 def test_graceful_shutdown_flushes_accepted_work(wl, ref):
     _clock, _session, server, client = _loopback(wl)
     futs = [client.submit(j.record, j.x, j.y, tenant=j.tenant)
